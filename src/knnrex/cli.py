@@ -77,6 +77,16 @@ def _emit_report(args, sections):
         sys.stdout.write(text)
 
 
+def _non_negative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _int_list(text):
     return [int(v) for v in text.split(",") if v != ""]
 
@@ -395,7 +405,9 @@ def _add_method_flags(sub, include_l=True):
     sub.add_argument("--h", type=float, default=0.05)
     sub.add_argument("--L", type=int, default=10)
     if include_l:
-        sub.add_argument("--l", type=int, required=True, help="population size to synthesize")
+        sub.add_argument(
+            "--l", type=_non_negative_int, required=True, help="population size to synthesize"
+        )
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--ridge", type=float, default=0.0)
     sub.add_argument("--stall-limit", type=int, default=10_000, dest="stall_limit")

@@ -46,8 +46,10 @@ def read_points_csv(path) -> PointSet:
         if not columns or any(not name for name in columns):
             raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
         rows = []
+        blank_lines = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
+                blank_lines.append(lineno)
                 continue
             if len(row) != len(columns):
                 raise CsvFormatError(
@@ -59,7 +61,16 @@ def read_points_csv(path) -> PointSet:
                 raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {row!r}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return PointSet(values=np.asarray(rows, dtype=np.float64), columns=columns)
+    values = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        lineno = row + 2
+        for blank in blank_lines:  # skipped blank lines shift the data rows down
+            if blank <= lineno:
+                lineno += 1
+        raise CsvFormatError(f"{path}: line {lineno}: non-finite field in {rows[row]!r}")
+    return PointSet(values=values, columns=columns)
 
 
 def write_points_csv(path, points: PointSet) -> None:

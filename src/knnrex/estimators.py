@@ -549,6 +549,8 @@ def km_fit(
         raise BadParams(f"need n >= m, got n = {n}, m = {m}")
     if move not in ("whole", "single"):
         raise BadParams(f"unknown move kind {move!r}")
+    if move == "single" and n == m:
+        raise BadParams(f"a single-member move needs n > m, got n = m = {n}")
 
     kcss = np.stack([rng.permutation(n)[:m] for _ in range(L)])
     log_kernel = np.stack([_kcs_column(X, X[ids], ridge) for ids in kcss], axis=1)

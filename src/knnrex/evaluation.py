@@ -1,8 +1,10 @@
 """Binned Hellinger distance, inverted cross-validation, and Welch's t-test.
 
 Binning is equal-width per dimension over the range of whatever data the
-spec is built from; joint bins are addressed by their per-dimension index
-tuples and counted sparsely, so high-dimensional comparisons stay feasible.
+spec is built from. A joint bin is its tuple of per-dimension indices,
+folded into one int64 mixed-radix key; only occupied bins are counted, so
+high-dimensional comparisons stay feasible. Mixed-radix keys sort like the
+tuples they encode, so the occupied bins come out in lexicographic order.
 Inverted cross-validation trains on one small fold and scores the synthetic
 population against the remaining folds.
 """
@@ -78,19 +80,33 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
     """Hellinger distance between the binned histograms of Y and Z, in [0, 1].
 
     Summation runs over the union of occupied bins; bins empty in both sets
-    contribute nothing.
+    contribute nothing. Each point's bin-index tuple is folded into one
+    integer key, ``key = key * nb_j + idx_j`` over the dimensions j. These
+    mixed-radix keys sort in the lexicographic order of the tuples, so the
+    occupied bins, their counts and the order of the final sum are those of
+    a row-wise unique over the tuples, and the result is bit-identical to it.
+    Before a dimension would take the key span past 2**62, the keys are
+    replaced by their ranks among the distinct keys, which keeps their order
+    and bounds the span by the number of points.
     """
     Y = np.asarray(Y, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
     if Y.shape[0] == 0 or Z.shape[0] == 0:
         raise EmptyData("hellinger requires two non-empty point sets")
-    iy = binning.assign(Y)
-    iz = binning.assign(Z)
-    both = np.concatenate([iy, iz], axis=0)
-    _, inverse = np.unique(both, axis=0, return_inverse=True)
+    both = np.concatenate([binning.assign(Y), binning.assign(Z)], axis=0)
+    keys = np.zeros(both.shape[0], dtype=np.int64)
+    span = 1
+    for j, nb in enumerate(binning.bins_per_dim()):
+        if span * nb > 2**62:  # keep key * nb + idx inside int64
+            _, keys = np.unique(keys, return_inverse=True)
+            span = int(keys.max()) + 1
+        keys *= nb
+        keys += both[:, j]
+        span *= nb
+    _, inverse = np.unique(keys, return_inverse=True)
     n_bins = int(inverse.max()) + 1
-    cy = np.bincount(inverse[: iy.shape[0]], minlength=n_bins)
-    cz = np.bincount(inverse[iy.shape[0] :], minlength=n_bins)
+    cy = np.bincount(inverse[: Y.shape[0]], minlength=n_bins)
+    cz = np.bincount(inverse[Y.shape[0] :], minlength=n_bins)
     py = np.sqrt(cy / Y.shape[0])
     pz = np.sqrt(cz / Z.shape[0])
     return float(np.sqrt(0.5 * np.sum((py - pz) ** 2)))

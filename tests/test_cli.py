@@ -77,6 +77,32 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "InconsistentMarginals" in capsys.readouterr().err
 
 
+def test_non_finite_input_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x1,x2\n0.5,1.5\n1.0,2.0\nnan,inf\n2.0,0.5\n")
+    out = tmp_path / "pop.csv"
+    assert run_cli(["synthesize", "--method", "fixed", "--h", "0.1", "--l", "5",
+                    "--in", str(bad), "--out", str(out)]) == 1
+    assert "CsvFormatError" in capsys.readouterr().err
+    assert not out.exists()
+
+    good = tmp_path / "good.csv"
+    good.write_text("x1,x2\n0.5,1.5\n1.0,2.0\n")
+    assert run_cli(["evaluate", "--a", str(good), "--b", str(bad)]) == 1
+    assert "line 4: non-finite" in capsys.readouterr().err
+
+
+def test_negative_population_size_exit_2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "30", "--seed", "0",
+                    "--out", str(train)]) == 0
+    code = run_cli(["synthesize", "--method", "knn-rex", "--k", "5", "--m", "3", "--l", "-3",
+                    "--in", str(train), "--out", str(tmp_path / "y.csv")])
+    assert code == 2
+    assert "--l: must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
 def test_bad_method_params_exit_1(tmp_path, capsys):
     train = tmp_path / "train.csv"
     assert run_cli(["gen-data", "--dataset", "ring", "--n", "30", "--seed", "0",

@@ -39,6 +39,18 @@ def test_points_parse_errors_carry_line_numbers(tmp_path):
         read_points_csv(path)
 
 
+def test_points_non_finite_rejected_with_line_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    for text, line in (
+        ("a,b\n1,2\n3,nan\n", 3),
+        ("a,b\ninf,2\n3,4\n", 2),
+        ("a,b\n1,2\n\n\n3,-Infinity\n5,nan\n", 5),  # blank lines still count
+    ):
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"line {line}: non-finite"):
+            read_points_csv(path)
+
+
 def test_marginals_round_trip(tmp_path):
     path = tmp_path / "marg.csv"
     path.write_text(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from knnrex import (
@@ -32,6 +34,20 @@ def dense_hellinger(Y, Z, binning):
     cz = counts(Z)
     py = np.sqrt(cy / len(Y))
     pz = np.sqrt(cz / len(Z))
+    return float(np.sqrt(0.5 * np.sum((py - pz) ** 2)))
+
+
+def row_unique_hellinger(Y, Z, binning):
+    """Oracle: the former implementation, a row-wise unique over index tuples."""
+    iy = binning.assign(Y)
+    iz = binning.assign(Z)
+    both = np.concatenate([iy, iz], axis=0)
+    _, inverse = np.unique(both, axis=0, return_inverse=True)
+    n_bins = int(inverse.max()) + 1
+    cy = np.bincount(inverse[: iy.shape[0]], minlength=n_bins)
+    cz = np.bincount(inverse[iy.shape[0] :], minlength=n_bins)
+    py = np.sqrt(cy / Y.shape[0])
+    pz = np.sqrt(cz / Z.shape[0])
     return float(np.sqrt(0.5 * np.sum((py - pz) ** 2)))
 
 
@@ -136,6 +152,47 @@ def test_hellinger_matches_dense_oracle():
         bins = int(rng.integers(1, 11))
         spec = make_binning(np.concatenate([Y, Z]), bins)
         assert hellinger(Y, Z, spec) == pytest.approx(dense_hellinger(Y, Z, spec), abs=1e-12)
+
+
+@st.composite
+def _hellinger_case(draw):
+    """Y, Z and a binning built from a narrower third set, so that Y and Z
+    also hold points outside its range; rounding makes shared bins likely."""
+    d = draw(st.integers(1, 25))
+    bins = draw(st.integers(1, 12))
+    coarse = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def points(scale):
+        X = rng.normal(scale=scale, size=(draw(st.integers(1, 60)), d))
+        return np.round(X) if coarse else X
+
+    Y, Z, basis = points(3.0), points(3.0), points(2.0)
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        basis[:, j] = basis[0, j]  # constant dimension: a single bin
+    return Y, Z, make_binning(basis, bins)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hellinger_case())
+def test_hellinger_bit_identical_to_row_unique(case):
+    Y, Z, spec = case
+    assert hellinger(Y, Z, spec) == row_unique_hellinger(Y, Z, spec)
+
+
+def test_hellinger_bit_identical_when_keys_compact():
+    # 10**20 joint bins overflow int64, so the keys are compacted mid-fold.
+    spec = make_binning(np.array([[0.0] * 20, [10.0] * 20]), 10)
+    assert math.prod(spec.bins_per_dim()) > 2**63
+    # Unit-width bins; the digits of 2**64 as a bin tuple would wrap to the
+    # key of the all-zero tuple if the keys were folded without compaction.
+    wrap = np.array([[int(c) + 0.5 for c in str(2**64)]])
+    zero = np.full((1, 20), 0.5)
+    assert hellinger(wrap, zero, spec) == row_unique_hellinger(wrap, zero, spec) == 1.0
+    rng = np.random.default_rng(10)
+    Y = rng.uniform(0.0, 10.0, size=(500, 20))
+    Z = np.concatenate([Y[:200], wrap, np.round(rng.normal(5.0, 3.0, size=(300, 20)))])
+    assert hellinger(Y, Z, spec) == row_unique_hellinger(Y, Z, spec)
 
 
 def test_hellinger_empty_errors():
