@@ -52,6 +52,7 @@ from .estimators import (
     synth_bmp,
     synth_fixed_gaussian,
     synth_knn_rex,
+    synthesize,
 )
 from .evaluation import BinningSpec, IcvReport, hellinger, icv_run, make_binning, welch_t
 from .kernels import KcsStats, gaussian_sample, kcs_stats, rex_density, rex_log_density, rex_sample, rex_samples

@@ -20,7 +20,7 @@ from .asymptotics import asymptotics_report, linear_model, uniform_model
 from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import BadSpec, KnnRexError
-from .estimators import EstimatorConfig, synth_bias_corrected
+from .estimators import EstimatorConfig, synth_bias_corrected, synthesize
 from .evaluation import hellinger, icv_run, make_binning
 from .knn import build_knn
 from .whiten import whiten_apply, whiten_fit, whiten_invert
@@ -77,14 +77,19 @@ def _emit_report(args, sections):
         sys.stdout.write(text)
 
 
-def _non_negative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(lo):
+    """argparse type: an int no smaller than ``lo``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _int_list(text):
@@ -145,8 +150,6 @@ def _resolve_config(args):
 
 
 def cmd_synthesize(args):
-    from .estimators import km_fit, km_synth, synth_bmp, synth_fixed_gaussian, synth_knn_rex
-
     phases = _Phases()
     cfg = _resolve_config(args)
     rng = np.random.default_rng(cfg.seed)
@@ -156,20 +159,11 @@ def cmd_synthesize(args):
         transform = whiten_fit(train.values)
         train_w = whiten_apply(transform, train.values)
     index = None
-    if cfg.method in ("knn_rex", "bmp") and not (cfg.method == "knn_rex" and cfg.m == 1):
+    if cfg.uses_index:
         with phases.measure("index"):
             index = build_knn(train_w, cfg.k)
     with phases.measure("synthesis"):
-        if cfg.method == "knn_rex":
-            synth_w = synth_knn_rex(train_w, cfg.k, cfg.m, args.l, rng, index=index)
-        elif cfg.method == "fixed_gaussian":
-            synth_w = synth_fixed_gaussian(train_w, cfg.h, args.l, rng)
-        elif cfg.method == "bmp":
-            synth_w = synth_bmp(train_w, cfg.k, cfg.h, args.l, rng, index=index)
-        else:
-            model = km_fit(train_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit, ridge=cfg.ridge)
-            synth_w = km_synth(model, train_w, args.l, rng)
-        synth = whiten_invert(transform, synth_w)
+        synth = whiten_invert(transform, synthesize(cfg, train_w, args.l, rng, index=index))
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))
     config = dict(cfg.echo(), l=args.l, **{"in": getattr(args, "in"), "out": args.out})
@@ -370,29 +364,6 @@ def cmd_validate_asymptotics(args):
     return 0
 
 
-def cmd_bench_knn(args):
-    phases = _Phases()
-    rng = np.random.default_rng(args.seed)
-    sizes = _int_list(args.sizes)
-    lines = ["[results]", f"sizes: {args.sizes}", f"dim: {args.dim}", f"k: {args.k}", f"reps: {args.reps}"]
-    timing = ["[timing]"]
-    best = {}
-    for n in sizes:
-        data = rng.random((n, args.dim))
-        times = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter()
-            build_knn(data, args.k)
-            times.append(time.perf_counter() - t0)
-        best[n] = min(times)
-        timing.append(f"time_build_{n}: {best[n]:.6f}")
-    for a, b in zip(sizes, sizes[1:]):
-        timing.append(f"time_ratio_{b}_{a}: {best[b] / best[a]:.3f}")
-    config = {"sizes": args.sizes, "dim": args.dim, "k": args.k, "reps": args.reps, "seed": args.seed}
-    _emit_report(args, [lines, timing, ["[manifest]"] + _manifest_lines("bench-knn", config, phases)])
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -406,7 +377,7 @@ def _add_method_flags(sub, include_l=True):
     sub.add_argument("--L", type=int, default=10)
     if include_l:
         sub.add_argument(
-            "--l", type=_non_negative_int, required=True, help="population size to synthesize"
+            "--l", type=_int_at_least(1), required=True, help="population size to synthesize"
         )
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--ridge", type=float, default=0.0)
@@ -457,7 +428,7 @@ def build_parser():
     _add_method_flags(icv, include_l=False)
     icv.add_argument("--folds", type=int, default=100)
     icv.add_argument("--bins", type=int, default=10)
-    icv.add_argument("--threads", type=int, default=1)
+    icv.add_argument("--threads", type=_int_at_least(1), default=1)
     icv.add_argument("--in", required=True)
     icv.add_argument("--out")
     icv.set_defaults(func=cmd_icv)
@@ -470,7 +441,7 @@ def build_parser():
     sw.add_argument("--L", default="10", help="comma-separated list")
     sw.add_argument("--folds", type=int, default=100)
     sw.add_argument("--bins", type=int, default=10)
-    sw.add_argument("--threads", type=int, default=1)
+    sw.add_argument("--threads", type=_int_at_least(1), default=1)
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--ridge", type=float, default=0.0)
     sw.add_argument("--stall-limit", type=int, default=10_000, dest="stall_limit")
@@ -487,15 +458,6 @@ def build_parser():
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--out")
     va.set_defaults(func=cmd_validate_asymptotics)
-
-    bench = subs.add_parser("bench-knn", help="time neighbor-index builds across sizes")
-    bench.add_argument("--sizes", default="2000,4000")
-    bench.add_argument("--dim", type=int, default=4)
-    bench.add_argument("--k", type=int, default=50)
-    bench.add_argument("--reps", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--out")
-    bench.set_defaults(func=cmd_bench_knn)
 
     return parser
 

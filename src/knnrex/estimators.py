@@ -16,9 +16,11 @@ Plus ``km_fit``/``km_synth``: the likelihood-optimized crossover-kernel
 baseline that hill-climbs the choice of L fixed kernel construction sets,
 and ``suggest_params``, the optimization-free parameter rule.
 
-Synthesis is chunked and vectorized; each chunk consumes a child random
-stream spawned from the caller's generator, so (seed, chunk_size) fixes the
-output exactly and chunks may run in any order.
+``synthesize(cfg, X, l, rng, index=None)`` is the only code that maps an
+``EstimatorConfig`` to its synthesizer; the CLI and inverted cross-validation
+call it. The k-NN REX and Gaussian synthesizers share one chunk loop: chunk
+i of ``chunk_size`` points draws only from the i-th child stream spawned from
+the caller's generator, so (seed, chunk_size) fixes the output exactly.
 """
 
 import math
@@ -34,13 +36,32 @@ from .errors import (
     SingularSigma,
     StallLimit,
 )
-from .kernels import kcs_stats, rex_log_density, rex_sample, rex_samples
+from .kernels import kcs_stats, rex_batch, rex_log_density, rex_sample, rex_samples
 from .knn import build_knn, query_neighbors
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
-METHODS = ("knn_rex", "knn_rex_corrected", "fixed_gaussian", "bmp", "km_rex")
+METHODS = ("knn_rex", "fixed_gaussian", "bmp", "km_rex")
 
 DEFAULT_CHUNK = 8192
+
+
+def _sample(X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[0] == 0:
+        raise EmptySample("training sample is empty")
+    return X
+
+
+def _check_rex(k: int, m: int) -> None:
+    if k == 0 and m != 1:
+        raise BadParams("k = 0 admits only m = 1 (pure bootstrap)")
+    if not 1 <= m <= k + 1:
+        raise BadParams(f"need 1 <= m <= k+1, got m = {m}, k = {k}")
+
+
+def _check_h(h: float) -> None:
+    if h < 0:
+        raise BadParams(f"bandwidth must be >= 0, got {h}")
 
 
 @dataclass
@@ -60,15 +81,17 @@ class EstimatorConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise BadParams(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.method in ("knn_rex", "knn_rex_corrected"):
-            if self.k == 0 and self.m != 1:
-                raise BadParams("k = 0 admits only m = 1 (pure bootstrap)")
-            if not 1 <= self.m <= self.k + 1:
-                raise BadParams(f"need 1 <= m <= k+1, got m = {self.m}, k = {self.k}")
-        if self.method in ("fixed_gaussian", "bmp") and self.h < 0:
-            raise BadParams(f"bandwidth must be >= 0, got {self.h}")
+        if self.method == "knn_rex":
+            _check_rex(self.k, self.m)
+        if self.method in ("fixed_gaussian", "bmp"):
+            _check_h(self.h)
         if self.method == "km_rex" and self.L < 1:
             raise BadParams(f"need L >= 1, got {self.L}")
+
+    @property
+    def uses_index(self) -> bool:
+        """Whether synthesis reads a k-NN index of the training sample."""
+        return self.method == "bmp" or (self.method == "knn_rex" and self.m > 1)
 
     def echo(self) -> dict:
         """Stable key/value view for reports and manifests."""
@@ -85,9 +108,37 @@ class EstimatorConfig:
         }
 
 
-def _chunks(total: int, chunk_size: int):
-    for start in range(0, total, chunk_size):
-        yield start, min(start + chunk_size, total)
+def synthesize(
+    cfg: EstimatorConfig,
+    X_w: np.ndarray,
+    l: int,
+    rng: np.random.Generator,
+    index=None,
+) -> np.ndarray:
+    """Draw l points from the (whitened) sample X_w by the method of ``cfg``.
+
+    ``index`` is a prebuilt k-NN index of (X_w, cfg.k), used by the methods
+    for which ``cfg.uses_index`` holds; without one they build their own.
+    """
+    cfg.validate()
+    if cfg.method == "knn_rex":
+        return synth_knn_rex(X_w, cfg.k, cfg.m, l, rng, index=index)
+    if cfg.method == "fixed_gaussian":
+        return synth_fixed_gaussian(X_w, cfg.h, l, rng)
+    if cfg.method == "bmp":
+        return synth_bmp(X_w, cfg.k, cfg.h, l, rng, index=index)
+    model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit, ridge=cfg.ridge)
+    return km_synth(model, X_w, l, rng)
+
+
+def _chunked(l: int, d: int, rng: np.random.Generator, chunk_size: int, draw) -> np.ndarray:
+    """Fill an (l, d) output chunk by chunk with ``draw(size, chunk_rng)``."""
+    out = np.empty((l, d))
+    starts = range(0, l, chunk_size)
+    for start, crng in zip(starts, rng.spawn(len(starts))):
+        stop = min(start + chunk_size, l)
+        out[start:stop] = draw(stop - start, crng)
+    return out
 
 
 def synth_knn_rex(
@@ -106,27 +157,16 @@ def synth_knn_rex(
     prebuilt ``index`` for (X, k) may be passed to keep the neighbor phase
     out of synthesis timings.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _sample(X)
     n, d = X.shape
-    if n == 0:
-        raise EmptySample("training sample is empty")
-    if k == 0 and m != 1:
-        raise BadParams("k = 0 admits only m = 1 (pure bootstrap)")
-    if not 1 <= m <= k + 1:
-        raise BadParams(f"need 1 <= m <= k+1, got m = {m}, k = {k}")
-    out = np.empty((l, d))
-    if l == 0:
-        return out
+    _check_rex(k, m)
     if index is None and m > 1:
         index = build_knn(X, k)
-    scale = math.sqrt(1.0 / m)
-    streams = rng.spawn(len(range(0, l, chunk_size)))
-    for (start, stop), crng in zip(_chunks(l, chunk_size), streams):
-        size = stop - start
+
+    def draw(size, crng):
         seeds = crng.integers(0, n, size=size)
         if m == 1:
-            out[start:stop] = X[seeds]
-            continue
+            return X[seeds]
         neighbors = index.ids[seeds]
         if m - 1 == k:
             picks = neighbors
@@ -138,11 +178,21 @@ def synth_knn_rex(
             scores = crng.random((size, k))
             pos = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
             picks = np.take_along_axis(neighbors, pos, axis=1)
-        kcs = np.concatenate([X[seeds][:, np.newaxis, :], X[picks]], axis=1)
-        mu = kcs.mean(axis=1)
-        eps = crng.standard_normal((size, m)) * scale
-        out[start:stop] = mu + np.einsum("sm,smd->sd", eps, kcs - mu[:, np.newaxis, :])
-    return out
+        return rex_batch(X[np.column_stack((seeds, picks))], crng)
+
+    return _chunked(l, d, rng, chunk_size, draw)
+
+
+def _gaussian(X, widths, l, rng, chunk_size):
+    """Resample X with per-point spherical Gaussian noise of std ``widths``."""
+    n, d = X.shape
+
+    def draw(size, crng):
+        seeds = crng.integers(0, n, size=size)
+        z = crng.standard_normal((size, d))
+        return X[seeds] + widths[seeds, np.newaxis] * z
+
+    return _chunked(l, d, rng, chunk_size, draw)
 
 
 def synth_fixed_gaussian(
@@ -153,22 +203,9 @@ def synth_fixed_gaussian(
     chunk_size: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Synthesize l points from the fixed scalar-bandwidth Gaussian mixture."""
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    if n == 0:
-        raise EmptySample("training sample is empty")
-    if h < 0:
-        raise BadParams(f"bandwidth must be >= 0, got {h}")
-    out = np.empty((l, d))
-    if l == 0:
-        return out
-    streams = rng.spawn(len(range(0, l, chunk_size)))
-    for (start, stop), crng in zip(_chunks(l, chunk_size), streams):
-        size = stop - start
-        seeds = crng.integers(0, n, size=size)
-        z = crng.standard_normal((size, d))
-        out[start:stop] = X[seeds] + h * z
-    return out
+    X = _sample(X)
+    _check_h(h)
+    return _gaussian(X, np.full(X.shape[0], h, dtype=np.float64), l, rng, chunk_size)
 
 
 def synth_bmp(
@@ -181,25 +218,11 @@ def synth_bmp(
     index=None,
 ) -> np.ndarray:
     """Synthesize l points with per-point bandwidth h * delta_ik."""
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    if n == 0:
-        raise EmptySample("training sample is empty")
-    if h < 0:
-        raise BadParams(f"bandwidth multiplier must be >= 0, got {h}")
-    out = np.empty((l, d))
-    if l == 0:
-        return out
+    X = _sample(X)
+    _check_h(h)
     if index is None:
         index = build_knn(X, k)
-    widths = h * index.dists[:, k - 1]
-    streams = rng.spawn(len(range(0, l, chunk_size)))
-    for (start, stop), crng in zip(_chunks(l, chunk_size), streams):
-        size = stop - start
-        seeds = crng.integers(0, n, size=size)
-        z = crng.standard_normal((size, d))
-        out[start:stop] = X[seeds] + widths[seeds, np.newaxis] * z
-    return out
+    return _gaussian(X, h * index.dists[:, k - 1], l, rng, chunk_size)
 
 
 def suggest_params(d_intrinsic: int, n: int | None = None) -> tuple[int, int]:
@@ -352,14 +375,9 @@ def synth_bias_corrected(
     coordinates are rounded half-away-from-zero after the map back to
     original units, before bin membership is tested.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _sample(X)
     n, d = X.shape
-    if n == 0:
-        raise EmptySample("training sample is empty")
-    if k == 0 and m != 1:
-        raise BadParams("k = 0 admits only m = 1 (pure bootstrap)")
-    if not 1 <= m <= k + 1:
-        raise BadParams(f"need 1 <= m <= k+1, got m = {m}, k = {k}")
+    _check_rex(k, m)
 
     if columns is None:
         columns = [f"x{i + 1}" for i in range(d)]
@@ -413,25 +431,21 @@ def synth_bias_corrected(
         pool = pools[best_v][best_b]
         if pool.size > 0:
             seed_id = int(pool[rng.integers(pool.size)])
-            if not needs_kernel:
-                y = X[seed_id].copy()
-            else:
-                neighbors = index.ids[seed_id]
-                picks = neighbors if m - 1 == k else neighbors[rng.permutation(k)[: m - 1]]
-                kcs = np.vstack([Xw[seed_id][np.newaxis, :], Xw[picks]])
-                y = _rex_draw_original(kcs, rng, transform)
+            seed = X[seed_id]
+            if needs_kernel:
+                seed_w, neighbors = Xw[seed_id], index.ids[seed_id]
         else:
             seed = mins + spans * rng.random(d)
             lo, hi = marginals.edges[best_v][best_b], marginals.edges[best_v][best_b + 1]
             seed[var_cols[best_v]] = lo + (hi - lo) * rng.random()
-            if not needs_kernel:
-                y = seed
-            else:
+            if needs_kernel:
                 seed_w = whiten_apply(transform, seed[np.newaxis, :])[0]
-                ids, _ = query_neighbors(Xw, seed_w, k)
-                picks = ids if m - 1 == k else ids[rng.permutation(k)[: m - 1]]
-                kcs = np.vstack([seed_w[np.newaxis, :], Xw[picks]])
-                y = _rex_draw_original(kcs, rng, transform)
+                neighbors, _ = query_neighbors(Xw, seed_w, k)
+        y = seed
+        if needs_kernel:
+            picks = neighbors if m - 1 == k else neighbors[rng.permutation(k)[: m - 1]]
+            kcs = np.vstack([seed_w[np.newaxis, :], Xw[picks]])
+            y = whiten_invert(transform, rex_sample(kcs, rng)[np.newaxis, :])[0]
 
         if round_integers:
             y = _round_half_away(y)
@@ -477,11 +491,6 @@ def synth_bias_corrected(
                 )
 
     return ledger.survivors(d)
-
-
-def _rex_draw_original(kcs, rng, transform):
-    y_w = rex_sample(kcs, rng)
-    return whiten_invert(transform, y_w[np.newaxis, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +546,8 @@ def km_fit(
     the move is kept iff the training log-likelihood strictly increases.
     Terminates after ``stall_limit`` consecutive non-improving iterations.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = _sample(X)
     n, d = X.shape
-    if n == 0:
-        raise EmptySample("training sample is empty")
     if m < d + 1:
         raise BadParams(f"need m >= d+1 = {d + 1} for an evaluable density, got m = {m}")
     if L < 1:

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParams, DegenerateVariance, EmptyData, TooFewPoints
-from .estimators import (
-    EstimatorConfig,
-    km_fit,
-    km_synth,
-    synth_bmp,
-    synth_fixed_gaussian,
-    synth_knn_rex,
-)
+from .estimators import EstimatorConfig, synthesize
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
 
@@ -223,19 +216,6 @@ class IcvReport:
         self.baseline_std = float(np.std(self.baseline_hellinger, ddof=1))
 
 
-def _synthesize_whitened(train_w, cfg: EstimatorConfig, l: int, rng):
-    if cfg.method == "knn_rex":
-        return synth_knn_rex(train_w, cfg.k, cfg.m, l, rng)
-    if cfg.method == "fixed_gaussian":
-        return synth_fixed_gaussian(train_w, cfg.h, l, rng)
-    if cfg.method == "bmp":
-        return synth_bmp(train_w, cfg.k, cfg.h, l, rng)
-    if cfg.method == "km_rex":
-        model = km_fit(train_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit, ridge=cfg.ridge)
-        return km_synth(model, train_w, l, rng)
-    raise BadParams(f"method {cfg.method!r} cannot run inside inverted cross-validation")
-
-
 def icv_run(
     data: np.ndarray,
     cfg: EstimatorConfig,
@@ -261,7 +241,6 @@ def icv_run(
         raise BadParams(f"need folds >= 2, got {folds}")
     if n < folds:
         raise TooFewPoints(f"need at least one point per fold: n = {n}, folds = {folds}")
-    cfg.validate()
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
@@ -278,7 +257,7 @@ def icv_run(
         test = np.concatenate([shuffled[:lo], shuffled[hi:]], axis=0)
         transform = whiten_fit(train)
         train_w = whiten_apply(transform, train)
-        synth_w = _synthesize_whitened(train_w, cfg, population_size, streams[i])
+        synth_w = synthesize(cfg, train_w, population_size, streams[i])
         synth = whiten_invert(transform, synth_w)
         score = hellinger(synth, test, make_binning(np.concatenate([synth, test]), bins_per_dim))
         base = hellinger(train, test, make_binning(np.concatenate([train, test]), bins_per_dim))

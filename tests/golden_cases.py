@@ -111,14 +111,6 @@ CASES = {
         ],
         "artifacts": ["asym.txt"],
     },
-    "bench_knn": {
-        "setup": [],
-        "command": [
-            "bench-knn", "--sizes", "300,600", "--dim", "3", "--k", "10",
-            "--reps", "1", "--seed", "0", "--out", "bench.txt",
-        ],
-        "artifacts": ["bench.txt"],
-    },
 }
 
 

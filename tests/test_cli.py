@@ -99,8 +99,32 @@ def test_negative_population_size_exit_2(tmp_path, capsys):
     code = run_cli(["synthesize", "--method", "knn-rex", "--k", "5", "--m", "3", "--l", "-3",
                     "--in", str(train), "--out", str(tmp_path / "y.csv")])
     assert code == 2
-    assert "--l: must be >= 0, got -3" in capsys.readouterr().err
+    assert "--l: must be >= 1, got -3" in capsys.readouterr().err
     assert not (tmp_path / "y.csv").exists()
+
+
+def test_zero_population_size_exit_2(tmp_path, capsys):
+    # A header-only CSV would be unreadable by knnrex itself (no data rows).
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "30", "--seed", "0",
+                    "--out", str(train)]) == 0
+    code = run_cli(["synthesize", "--method", "fixed", "--h", "0.1", "--l", "0",
+                    "--in", str(train), "--out", str(tmp_path / "y.csv")])
+    assert code == 2
+    assert "--l: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["icv", "sweep"])
+@pytest.mark.parametrize("threads", ["0", "-1", "-2"])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
+    data = tmp_path / "data.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "50", "--seed", "0",
+                    "--out", str(data)]) == 0
+    code = run_cli([command, "--method", "fixed", "--h", "0.1", "--folds", "2",
+                    "--threads", threads, "--in", str(data)])
+    assert code == 2
+    assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_bad_method_params_exit_1(tmp_path, capsys):

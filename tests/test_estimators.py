@@ -1,16 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnrex import (
     BadParams,
     EmptySample,
     build_knn,
+    km_fit,
+    km_synth,
+    rex_sample,
     suggest_params,
     synth_bmp,
     synth_fixed_gaussian,
     synth_knn_rex,
+    synthesize,
 )
-from knnrex.estimators import EstimatorConfig
+from knnrex.estimators import DEFAULT_CHUNK, METHODS, EstimatorConfig
 
 
 def rows_in(sample, data):
@@ -163,3 +171,156 @@ def test_fixed_and_bmp_reproducible():
         synth_bmp(X, 4, 0.3, 100, np.random.default_rng(5)),
         synth_bmp(X, 4, 0.3, 100, np.random.default_rng(5)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The synthesizers as written before they shared one engine, kept as oracles:
+# the engine must reproduce them bit for bit at every chunk size.
+# ---------------------------------------------------------------------------
+
+
+def _chunks(total, chunk_size):
+    for start in range(0, total, chunk_size):
+        yield start, min(start + chunk_size, total)
+
+
+def reference_knn_rex(X, k, m, l, rng, chunk_size=DEFAULT_CHUNK):
+    n, d = X.shape
+    out = np.empty((l, d))
+    if l == 0:
+        return out
+    index = build_knn(X, k) if m > 1 else None
+    scale = math.sqrt(1.0 / m)
+    streams = rng.spawn(len(range(0, l, chunk_size)))
+    for (start, stop), crng in zip(_chunks(l, chunk_size), streams):
+        size = stop - start
+        seeds = crng.integers(0, n, size=size)
+        if m == 1:
+            out[start:stop] = X[seeds]
+            continue
+        neighbors = index.ids[seeds]
+        if m - 1 == k:
+            picks = neighbors
+        elif m - 1 == 1:
+            cols = crng.integers(0, k, size=size)
+            picks = neighbors[np.arange(size), cols][:, np.newaxis]
+        else:
+            scores = crng.random((size, k))
+            pos = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
+            picks = np.take_along_axis(neighbors, pos, axis=1)
+        kcs = np.concatenate([X[seeds][:, np.newaxis, :], X[picks]], axis=1)
+        mu = kcs.mean(axis=1)
+        eps = crng.standard_normal((size, m)) * scale
+        out[start:stop] = mu + np.einsum("sm,smd->sd", eps, kcs - mu[:, np.newaxis, :])
+    return out
+
+
+def reference_fixed_gaussian(X, h, l, rng, chunk_size=DEFAULT_CHUNK):
+    n, d = X.shape
+    out = np.empty((l, d))
+    if l == 0:
+        return out
+    streams = rng.spawn(len(range(0, l, chunk_size)))
+    for (start, stop), crng in zip(_chunks(l, chunk_size), streams):
+        size = stop - start
+        seeds = crng.integers(0, n, size=size)
+        z = crng.standard_normal((size, d))
+        out[start:stop] = X[seeds] + h * z
+    return out
+
+
+def reference_bmp(X, k, h, l, rng, chunk_size=DEFAULT_CHUNK):
+    n, d = X.shape
+    out = np.empty((l, d))
+    if l == 0:
+        return out
+    widths = h * build_knn(X, k).dists[:, k - 1]
+    streams = rng.spawn(len(range(0, l, chunk_size)))
+    for (start, stop), crng in zip(_chunks(l, chunk_size), streams):
+        size = stop - start
+        seeds = crng.integers(0, n, size=size)
+        z = crng.standard_normal((size, d))
+        out[start:stop] = X[seeds] + widths[seeds, np.newaxis] * z
+    return out
+
+
+def reference_rex_sample(kcs, rng):
+    m = kcs.shape[0]
+    eps = rng.standard_normal(m) * math.sqrt(1.0 / m)
+    mu = kcs.mean(axis=0)
+    return mu + eps @ (kcs - mu)
+
+
+def reference_synthesize(cfg, X, l, rng, chunk_size=DEFAULT_CHUNK):
+    if cfg.method == "knn_rex":
+        return reference_knn_rex(X, cfg.k, cfg.m, l, rng, chunk_size)
+    if cfg.method == "fixed_gaussian":
+        return reference_fixed_gaussian(X, cfg.h, l, rng, chunk_size)
+    if cfg.method == "bmp":
+        return reference_bmp(X, cfg.k, cfg.h, l, rng, chunk_size)
+    model = km_fit(X, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit, ridge=cfg.ridge)
+    return km_synth(model, X, l, rng)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+CHUNKED = ("knn_rex", "fixed_gaussian", "bmp")
+
+
+@st.composite
+def _synthesis_case(draw, methods=METHODS):
+    """A method with parameters valid for a small sample, covering m = 1, 2,
+    k+1 and one in between, k = 0, and duplicated points (coarse rounding;
+    not for km, whose density needs nonsingular KCSs)."""
+    method = draw(st.sampled_from(methods))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    if method != "km_rex" and draw(st.booleans()):
+        X = np.round(X)
+    cfg = EstimatorConfig(method=method, seed=draw(st.integers(0, 2**32 - 1)), stall_limit=3)
+    if method == "knn_rex":
+        cfg.k = draw(st.integers(0, n - 1))
+        cfg.m = draw(st.sampled_from(sorted({1, min(2, cfg.k + 1), cfg.k + 1, max(1, (cfg.k + 2) // 2)})))
+    elif method == "km_rex":
+        cfg.m = draw(st.integers(d + 1, n))
+        cfg.L = draw(st.integers(1, 3))
+    else:
+        cfg.k = draw(st.integers(1, n - 1))
+        cfg.h = draw(st.sampled_from([0.0, 0.05, 0.3, 1.7]))
+    return cfg, X
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _synthesis_case(),
+    st.sampled_from([0, 1, DEFAULT_CHUNK - 1, DEFAULT_CHUNK, DEFAULT_CHUNK + 1]),
+)
+def test_synthesize_matches_reference(case, l):
+    cfg, X = case
+    got = synthesize(cfg, X, l, np.random.default_rng(cfg.seed))
+    assert same_bits(got, reference_synthesize(cfg, X, l, np.random.default_rng(cfg.seed)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_synthesis_case(methods=CHUNKED), st.integers(1, 40), st.integers(0, 200))
+def test_chunked_synthesizers_match_reference(case, chunk_size, l):
+    cfg, X = case
+    engine = {
+        "knn_rex": lambda rng: synth_knn_rex(X, cfg.k, cfg.m, l, rng, chunk_size),
+        "fixed_gaussian": lambda rng: synth_fixed_gaussian(X, cfg.h, l, rng, chunk_size),
+        "bmp": lambda rng: synth_bmp(X, cfg.k, cfg.h, l, rng, chunk_size),
+    }[cfg.method]
+    reference = reference_synthesize(cfg, X, l, np.random.default_rng(cfg.seed), chunk_size)
+    assert same_bits(engine(np.random.default_rng(cfg.seed)), reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_rex_sample_matches_reference(m, d, seed):
+    kcs = np.random.default_rng(seed).normal(scale=10.0, size=(m, d))
+    got = rex_sample(kcs, np.random.default_rng(seed + 1))
+    assert same_bits(got, reference_rex_sample(kcs, np.random.default_rng(seed + 1)))

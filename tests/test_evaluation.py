@@ -267,9 +267,18 @@ def test_icv_fold_arithmetic_and_report():
     assert report.config["method"] == "fixed_gaussian"
 
 
-def test_icv_reproducible_and_thread_invariant():
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        EstimatorConfig(method="knn_rex", k=8, m=3, seed=5),
+        EstimatorConfig(method="fixed_gaussian", h=0.1, seed=5),
+        EstimatorConfig(method="bmp", k=8, h=0.3, seed=5),
+        EstimatorConfig(method="km_rex", L=3, m=3, seed=5, stall_limit=30),
+    ],
+    ids=lambda cfg: cfg.method,
+)
+def test_icv_reproducible_and_thread_invariant(cfg):
     data = gen_ring(200, np.random.default_rng(7))
-    cfg = EstimatorConfig(method="knn_rex", k=8, m=3, seed=5)
     r1 = icv_run(data, cfg, folds=4, bins_per_dim=5)
     r2 = icv_run(data, cfg, folds=4, bins_per_dim=5)
     r4 = icv_run(data, cfg, folds=4, bins_per_dim=5, threads=4)
