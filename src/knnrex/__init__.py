@@ -21,7 +21,6 @@ from .asymptotics import (
 from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import (
-    BadIndex,
     BadParams,
     BadSpec,
     CsvFormatError,
@@ -55,6 +54,6 @@ from .estimators import (
     synthesize,
 )
 from .evaluation import BinningSpec, IcvReport, hellinger, icv_run, make_binning, welch_t
-from .kernels import KcsStats, gaussian_sample, kcs_stats, rex_density, rex_log_density, rex_sample, rex_samples
-from .knn import KnnIndex, build_knn, kth_distance, query_neighbors
+from .kernels import KcsStats, kcs_stats, rex_density, rex_log_density, rex_sample, rex_samples
+from .knn import KnnIndex, build_knn, query_neighbors
 from .whiten import WhitenTransform, whiten_apply, whiten_fit, whiten_invert

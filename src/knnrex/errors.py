@@ -25,10 +25,6 @@ class KTooLarge(KnnRexError):
     pass
 
 
-class BadIndex(KnnRexError):
-    pass
-
-
 class EmptyKcs(KnnRexError):
     pass
 

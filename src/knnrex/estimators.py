@@ -24,7 +24,7 @@ the caller's generator, so (seed, chunk_size) fixes the output exactly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,6 +43,10 @@ from .whiten import whiten_apply, whiten_fit, whiten_invert
 METHODS = ("knn_rex", "fixed_gaussian", "bmp", "km_rex")
 
 DEFAULT_CHUNK = 8192
+
+# The bias-corrected loop gives up after this many iterations per output
+# point without net progress.
+STALL_FACTOR = 50
 
 
 def _sample(X) -> np.ndarray:
@@ -94,18 +98,8 @@ class EstimatorConfig:
         return self.method == "bmp" or (self.method == "knn_rex" and self.m > 1)
 
     def echo(self) -> dict:
-        """Stable key/value view for reports and manifests."""
-        return {
-            "method": self.method,
-            "k": self.k,
-            "m": self.m,
-            "h": self.h,
-            "L": self.L,
-            "seed": self.seed,
-            "stall_limit": self.stall_limit,
-            "round_integers": self.round_integers,
-            "ridge": self.ridge,
-        }
+        """Stable key/value view for reports and manifests, in field order."""
+        return asdict(self)
 
 
 def synthesize(
@@ -299,54 +293,6 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
 
 
-class _BinLedger:
-    """Occupancy bookkeeping for the output set of the bias-corrected loop.
-
-    Tracks, per (variable, bin), the list of member point keys with O(1)
-    swap-removal, so a random member can be evicted deterministically.
-    """
-
-    def __init__(self, freqs):
-        self.points = []       # original-units coordinates, append-only
-        self.point_bins = []   # per point: tuple of per-variable bin ids
-        self.active = []
-        self.n_active = 0
-        self.members = [[[] for _ in f] for f in freqs]
-        self.pos = {}          # (var, key) -> position in members[var][bin]
-
-    def add(self, point, bins):
-        key = len(self.points)
-        self.points.append(point)
-        self.point_bins.append(bins)
-        self.active.append(True)
-        self.n_active += 1
-        for v, b in enumerate(bins):
-            bucket = self.members[v][b]
-            self.pos[(v, key)] = len(bucket)
-            bucket.append(key)
-        return key
-
-    def remove(self, key):
-        for v, b in enumerate(self.point_bins[key]):
-            bucket = self.members[v][b]
-            p = self.pos.pop((v, key))
-            last = bucket.pop()
-            if last != key:
-                bucket[p] = last
-                self.pos[(v, last)] = p
-        self.active[key] = False
-        self.n_active -= 1
-
-    def survivors(self, dim):
-        out = np.empty((self.n_active, dim))
-        row = 0
-        for key, alive in enumerate(self.active):
-            if alive:
-                out[row] = self.points[key]
-                row += 1
-        return out
-
-
 def synth_bias_corrected(
     X: np.ndarray,
     marginals: MarginalSpec,
@@ -355,25 +301,31 @@ def synth_bias_corrected(
     rng: np.random.Generator,
     columns=None,
     round_integers: bool = False,
-    stall_factor: int = 50,
 ) -> np.ndarray:
     """Synthesize a population whose marginal bin counts match ``marginals``.
 
     The kernel machinery runs in whitened coordinates while bin membership is
     tested in original units, so the marginal targets apply to the data as
     published. Each iteration seeds the kernel in the currently most vacant
-    bin (ties broken by variable order, then bin order): from the training
-    points in that bin when any exist, otherwise from a fresh uniform point
-    on the bin (other coordinates uniform on their empirical ranges) whose
-    neighbors are found on the fly. Overfull bins are drained by evicting
-    random members until every count is back within its target, so
-    ``|Y_b| <= F_b`` holds after every iteration and the loop exits exactly
-    when all counts hit their targets.
+    bin: from the training points in that bin when any exist, otherwise from
+    a fresh uniform point on the bin (other coordinates uniform on their
+    empirical ranges) whose neighbors are found on the fly. Overfull bins are
+    drained by evicting random members until every count is back within its
+    target, so ``|Y_b| <= F_b`` holds after every iteration and the loop
+    exits exactly when all counts hit their targets.
 
-    Raises StallLimit (carrying the partial output) after ``stall_factor * l``
-    iterations without net progress. When ``round_integers`` is set,
-    coordinates are rounded half-away-from-zero after the map back to
-    original units, before bin membership is tested.
+    Every (variable, bin) pair has one flat id: variable v owns the ids
+    ``offsets[v] .. offsets[v+1]-1`` in bin order. Occupancy and targets are
+    int64 arrays over the flat ids, and the most vacant bin is the first
+    maximum of ``target - counts`` in flat order, so ties go to the earlier
+    variable, then the lower bin. Each bin keeps its members in a list with
+    swap-removal, and an eviction picks a uniform position in that list.
+
+    Raises StallLimit (carrying the partial output, the iteration count and
+    the per-variable deficits) after ``STALL_FACTOR * l`` iterations without
+    net progress. When ``round_integers`` is set, coordinates are rounded
+    half-away-from-zero after the map back to original units, before bin
+    membership is tested.
     """
     X = _sample(X)
     n, d = X.shape
@@ -386,9 +338,9 @@ def synth_bias_corrected(
     except ValueError as exc:
         raise BadSpec(f"marginal variable not found among columns {list(columns)}: {exc}") from None
 
-    n_vars = len(marginals.names)
-    for v, col in enumerate(var_cols):
-        if np.any(marginals.bin_of(v, X[:, col]) < 0):
+    sample_bins = [marginals.bin_of(v, X[:, col]) for v, col in enumerate(var_cols)]
+    for v, bins in enumerate(sample_bins):
+        if np.any(bins < 0):
             raise InconsistentMarginals(
                 f"variable {marginals.names[v]!r}: sample values fall outside the binned range"
             )
@@ -405,30 +357,34 @@ def synth_bias_corrected(
     mins = X.min(axis=0)
     spans = X.max(axis=0) - mins
 
-    pools = [
-        [np.flatnonzero(marginals.bin_of(v, X[:, col]) == b) for b in range(marginals.freqs[v].size)]
-        for v, col in enumerate(var_cols)
-    ]
+    sizes = [freq.size for freq in marginals.freqs]
+    offsets = np.cumsum([0, *sizes]).tolist()
+    flat_cols = np.repeat(var_cols, sizes).tolist()  # data column per flat id
+    target = np.concatenate(marginals.freqs)
+    lows = np.concatenate([e[:-1] for e in marginals.edges])
+    highs = np.concatenate([e[1:] for e in marginals.edges])
+    pools = [np.flatnonzero(bins == b) for bins, size in zip(sample_bins, sizes) for b in range(size)]
 
-    ledger = _BinLedger(marginals.freqs)
-    counts = [np.zeros(f.size, dtype=np.int64) for f in marginals.freqs]
+    counts = np.zeros(target.size, dtype=np.int64)
+    members = [[] for _ in range(target.size)]  # point keys per flat id
+    # Per point ever placed: coordinates, flat ids, position in each of its
+    # member lists, and whether it is still in the output.
+    points, point_ids, slots, alive = [], [], [], []
+    placed = 0
+
+    def survivors():
+        return np.reshape(points, (-1, d))[np.array(alive, dtype=bool)]
 
     stall = 0
     best_fill = 0
     iterations = 0
-    cap = max(stall_factor * l, stall_factor)
+    cap = STALL_FACTOR * l
 
-    while ledger.n_active < l:
+    while placed < l:
         iterations += 1
 
-        best_v, best_b, best_vac = 0, 0, -1
-        for v in range(n_vars):
-            vacancy = marginals.freqs[v] - counts[v]
-            b = int(np.argmax(vacancy))
-            if vacancy[b] > best_vac:
-                best_v, best_b, best_vac = v, b, int(vacancy[b])
-
-        pool = pools[best_v][best_b]
+        f = int(np.argmax(target - counts))
+        pool = pools[f]
         if pool.size > 0:
             seed_id = int(pool[rng.integers(pool.size)])
             seed = X[seed_id]
@@ -436,8 +392,7 @@ def synth_bias_corrected(
                 seed_w, neighbors = Xw[seed_id], index.ids[seed_id]
         else:
             seed = mins + spans * rng.random(d)
-            lo, hi = marginals.edges[best_v][best_b], marginals.edges[best_v][best_b + 1]
-            seed[var_cols[best_v]] = lo + (hi - lo) * rng.random()
+            seed[flat_cols[f]] = lows[f] + (highs[f] - lows[f]) * rng.random()
             if needs_kernel:
                 seed_w = whiten_apply(transform, seed[np.newaxis, :])[0]
                 neighbors, _ = query_neighbors(Xw, seed_w, k)
@@ -450,47 +405,50 @@ def synth_bias_corrected(
         if round_integers:
             y = _round_half_away(y)
 
-        bins = []
-        in_range = True
-        for v, col in enumerate(var_cols):
-            b = int(marginals.bin_of(v, np.asarray([y[col]]))[0])
-            if b < 0:
-                in_range = False
-                break
-            bins.append(b)
-
-        if in_range:
-            ledger.add(y, tuple(bins))
-            for v, b in enumerate(bins):
-                counts[v][b] += 1
+        bins = [int(marginals.bin_of(v, y[col])) for v, col in enumerate(var_cols)]
+        if min(bins) >= 0:
+            key = len(points)
+            ids = [b + o for b, o in zip(bins, offsets)]
+            points.append(y)
+            point_ids.append(ids)
+            slots.append([len(members[f]) for f in ids])
+            alive.append(True)
+            placed += 1
+            counts[ids] += 1
+            for f in ids:
+                members[f].append(key)
             # Drain any bin the new point overfilled; eviction decrements the
             # victim's counts across all variables, so counts only go down.
-            for v, b in enumerate(bins):
-                if counts[v][b] > marginals.freqs[v][b]:
-                    bucket = ledger.members[v][b]
+            for f in ids:
+                if counts[f] > target[f]:
+                    bucket = members[f]
                     victim = bucket[rng.integers(len(bucket))]
-                    for vv, bb in enumerate(ledger.point_bins[victim]):
-                        counts[vv][bb] -= 1
-                    ledger.remove(victim)
+                    counts[point_ids[victim]] -= 1
+                    for v, g in enumerate(point_ids[victim]):
+                        last = members[g].pop()
+                        if last != victim:
+                            members[g][slots[victim][v]] = last
+                            slots[last][v] = slots[victim][v]
+                    alive[victim] = False
+                    placed -= 1
 
-        if ledger.n_active > best_fill:
-            best_fill = ledger.n_active
+        if placed > best_fill:
+            best_fill = placed
             stall = 0
         else:
             stall += 1
             if stall >= cap:
-                deficits = {
-                    str(marginals.names[v]): int((marginals.freqs[v] - counts[v]).sum())
-                    for v in range(n_vars)
-                }
+                deficits = np.add.reduceat(target - counts, offsets[:-1]).tolist()
                 raise StallLimit(
-                    f"no net progress for {stall} iterations "
-                    f"({ledger.n_active}/{l} points placed)",
-                    partial=ledger.survivors(d),
-                    diagnostics={"iterations": iterations, "deficits": deficits},
+                    f"no net progress for {stall} iterations ({placed}/{l} points placed)",
+                    partial=survivors(),
+                    diagnostics={
+                        "iterations": iterations,
+                        "deficits": dict(zip(map(str, marginals.names), deficits)),
+                    },
                 )
 
-    return ledger.survivors(d)
+    return survivors()
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +477,16 @@ def km_loglik(X: np.ndarray, kcss: np.ndarray, ridge: float = 0.0) -> float:
 
 def _kcs_column(X, kcs_points, ridge):
     # Trace-scaled fallback ridge for finite-precision near-singularity;
-    # m >= d+1 makes the covariance generically nonsingular.
+    # m >= d+1 makes the covariance generically nonsingular. A KCS whose
+    # members all coincide has trace 0 and no density: its log-density is
+    # -inf everywhere, so a move to it never raises the likelihood.
     try:
         return rex_log_density(X, kcs_points, ridge=ridge)
     except SingularSigma:
         stats = kcs_stats(kcs_points)
         bump = 1e-9 * float(np.trace(stats.sigma)) / kcs_points.shape[1]
         if bump <= 0.0:
-            raise
+            return np.full(X.shape[0], -np.inf)
         return rex_log_density(X, kcs_points, ridge=ridge + bump)
 
 
@@ -537,14 +497,13 @@ def km_fit(
     rng: np.random.Generator,
     stall_limit: int = 10_000,
     ridge: float = 0.0,
-    move: str = "whole",
 ) -> KmModel:
     """Hill-climb the choice of L kernel construction sets of size m.
 
     Starts from a uniform-random assignment; per iteration one set is redrawn
-    (the whole set by default, a single member with ``move="single"``) and
-    the move is kept iff the training log-likelihood strictly increases.
-    Terminates after ``stall_limit`` consecutive non-improving iterations.
+    whole and the move is kept iff the training log-likelihood strictly
+    increases. Terminates after ``stall_limit`` consecutive non-improving
+    iterations.
     """
     X = _sample(X)
     n, d = X.shape
@@ -554,10 +513,6 @@ def km_fit(
         raise BadParams(f"need L >= 1, got {L}")
     if n < m:
         raise BadParams(f"need n >= m, got n = {n}, m = {m}")
-    if move not in ("whole", "single"):
-        raise BadParams(f"unknown move kind {move!r}")
-    if move == "single" and n == m:
-        raise BadParams(f"a single-member move needs n > m, got n = m = {n}")
 
     kcss = np.stack([rng.permutation(n)[:m] for _ in range(L)])
     log_kernel = np.stack([_kcs_column(X, X[ids], ridge) for ids in kcss], axis=1)
@@ -574,15 +529,7 @@ def km_fit(
     while stall < stall_limit:
         iterations += 1
         j = int(rng.integers(L))
-        if move == "whole":
-            candidate = rng.permutation(n)[:m]
-        else:
-            candidate = kcss[j].copy()
-            slot = int(rng.integers(m))
-            replacement = int(rng.integers(n))
-            while replacement in candidate:
-                replacement = int(rng.integers(n))
-            candidate[slot] = replacement
+        candidate = rng.permutation(n)[:m]
         new_col = _kcs_column(X, X[candidate], ridge)
         old_col = log_kernel[:, j].copy()
         log_kernel[:, j] = new_col

@@ -221,7 +221,6 @@ def icv_run(
     cfg: EstimatorConfig,
     folds: int = 100,
     bins_per_dim: int = 10,
-    rng: np.random.Generator | None = None,
     threads: int = 1,
 ) -> IcvReport:
     """Inverted cross-validation: train on one fold, test on the rest.
@@ -241,8 +240,7 @@ def icv_run(
         raise BadParams(f"need folds >= 2, got {folds}")
     if n < folds:
         raise TooFewPoints(f"need at least one point per fold: n = {n}, folds = {folds}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
 
     fold_size = n // folds
     used = fold_size * folds

@@ -1,5 +1,4 @@
-"""REX crossover kernel: samplers, implied Gaussian density, and a
-spherical Gaussian sampler.
+"""REX crossover kernel: samplers and the implied Gaussian density.
 
 A kernel construction set (KCS) is an (m, d) array of points. Sampling
 never forms the covariance matrix: a draw is the KCS mean plus normally
@@ -99,13 +98,6 @@ def rex_log_density(y: np.ndarray, kcs: np.ndarray, ridge: float = 0.0) -> np.nd
 
 def rex_density(y: np.ndarray, kcs: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     return np.exp(rex_log_density(y, kcs, ridge=ridge))
-
-
-def gaussian_sample(center: np.ndarray, h: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the spherical Gaussian N(center, h^2 I); h = 0 allowed."""
-    center = np.asarray(center, dtype=np.float64)
-    z = rng.standard_normal(center.shape[0])
-    return center + h * z
 
 
 def _as_kcs(kcs: np.ndarray) -> np.ndarray:

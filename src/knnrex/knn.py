@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndex, BadParams, KTooLarge
+from .errors import BadParams, KTooLarge
 
 # Rough cap on the number of temporary floats per distance chunk.
 _CHUNK_BUDGET = 8_000_000
@@ -23,10 +23,6 @@ class KnnIndex:
     k: int
     ids: np.ndarray    # (n, k) int64, sorted by ascending distance
     dists: np.ndarray  # (n, k) float64
-
-    @property
-    def n(self) -> int:
-        return self.ids.shape[0]
 
 
 def build_knn(X: np.ndarray, k: int) -> KnnIndex:
@@ -69,10 +65,3 @@ def query_neighbors(X: np.ndarray, q: np.ndarray, k: int):
     d2 = np.einsum("ij,ij->i", diff, diff)
     order = np.argsort(d2, kind="stable")[:k]
     return order, np.sqrt(d2[order])
-
-
-def kth_distance(index: KnnIndex, i: int) -> float:
-    """Distance from point i to its k-th nearest neighbor."""
-    if not 0 <= i < index.n:
-        raise BadIndex(f"point id {i} out of range [0, {index.n})")
-    return float(index.dists[i, index.k - 1])

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnrex import (
     BadSpec,
     GmmSpec,
     InconsistentMarginals,
+    KnnRexError,
     MarginalSpec,
     StallLimit,
+    build_knn,
     gen_gmm,
+    query_neighbors,
+    rex_sample,
     synth_bias_corrected,
+    whiten_apply,
+    whiten_fit,
+    whiten_invert,
 )
 
 
@@ -172,10 +181,210 @@ def test_stall_limit_emits_partial():
         total=15,
     )
     with pytest.raises(StallLimit) as info:
-        synth_bias_corrected(
-            X, marg, k=0, m=1, rng=np.random.default_rng(11), round_integers=True, stall_factor=2
-        )
+        synth_bias_corrected(X, marg, k=0, m=1, rng=np.random.default_rng(11), round_integers=True)
     err = info.value
     assert err.partial is not None and err.partial.shape == (10, 1)
     assert np.all(err.partial == 1.0)
     assert err.diagnostics["deficits"]["x1"] == 5
+
+
+# ---------------------------------------------------------------------------
+# Reference: the loop with per-variable count lists and a member ledger,
+# kept as the oracle that the flat-id loop must match bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceLedger:
+    def __init__(self, freqs):
+        self.points = []
+        self.point_bins = []
+        self.active = []
+        self.n_active = 0
+        self.members = [[[] for _ in f] for f in freqs]
+        self.pos = {}
+
+    def add(self, point, bins):
+        key = len(self.points)
+        self.points.append(point)
+        self.point_bins.append(bins)
+        self.active.append(True)
+        self.n_active += 1
+        for v, b in enumerate(bins):
+            bucket = self.members[v][b]
+            self.pos[(v, key)] = len(bucket)
+            bucket.append(key)
+        return key
+
+    def remove(self, key):
+        for v, b in enumerate(self.point_bins[key]):
+            bucket = self.members[v][b]
+            p = self.pos.pop((v, key))
+            last = bucket.pop()
+            if last != key:
+                bucket[p] = last
+                self.pos[(v, last)] = p
+        self.active[key] = False
+        self.n_active -= 1
+
+    def survivors(self, dim):
+        out = np.empty((self.n_active, dim))
+        row = 0
+        for key, alive in enumerate(self.active):
+            if alive:
+                out[row] = self.points[key]
+                row += 1
+        return out
+
+
+def reference_bias_corrected(X, marginals, k, m, rng, round_integers=False, stall_factor=50):
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    var_cols = [[f"x{i + 1}" for i in range(d)].index(name) for name in marginals.names]
+    n_vars = len(marginals.names)
+    l = marginals.total
+    if l == 0:
+        return np.empty((0, d))
+
+    needs_kernel = m > 1
+    if needs_kernel:
+        transform = whiten_fit(X)
+        Xw = whiten_apply(transform, X)
+        index = build_knn(Xw, k)
+    mins = X.min(axis=0)
+    spans = X.max(axis=0) - mins
+
+    pools = [
+        [np.flatnonzero(marginals.bin_of(v, X[:, col]) == b) for b in range(marginals.freqs[v].size)]
+        for v, col in enumerate(var_cols)
+    ]
+
+    ledger = _ReferenceLedger(marginals.freqs)
+    counts = [np.zeros(f.size, dtype=np.int64) for f in marginals.freqs]
+
+    stall = 0
+    best_fill = 0
+    iterations = 0
+    cap = max(stall_factor * l, stall_factor)
+
+    while ledger.n_active < l:
+        iterations += 1
+
+        best_v, best_b, best_vac = 0, 0, -1
+        for v in range(n_vars):
+            vacancy = marginals.freqs[v] - counts[v]
+            b = int(np.argmax(vacancy))
+            if vacancy[b] > best_vac:
+                best_v, best_b, best_vac = v, b, int(vacancy[b])
+
+        pool = pools[best_v][best_b]
+        if pool.size > 0:
+            seed_id = int(pool[rng.integers(pool.size)])
+            seed = X[seed_id]
+            if needs_kernel:
+                seed_w, neighbors = Xw[seed_id], index.ids[seed_id]
+        else:
+            seed = mins + spans * rng.random(d)
+            lo, hi = marginals.edges[best_v][best_b], marginals.edges[best_v][best_b + 1]
+            seed[var_cols[best_v]] = lo + (hi - lo) * rng.random()
+            if needs_kernel:
+                seed_w = whiten_apply(transform, seed[np.newaxis, :])[0]
+                neighbors, _ = query_neighbors(Xw, seed_w, k)
+        y = seed
+        if needs_kernel:
+            picks = neighbors if m - 1 == k else neighbors[rng.permutation(k)[: m - 1]]
+            kcs = np.vstack([seed_w[np.newaxis, :], Xw[picks]])
+            y = whiten_invert(transform, rex_sample(kcs, rng)[np.newaxis, :])[0]
+
+        if round_integers:
+            y = np.sign(y) * np.floor(np.abs(y) + 0.5)
+
+        bins = []
+        in_range = True
+        for v, col in enumerate(var_cols):
+            b = int(marginals.bin_of(v, np.asarray([y[col]]))[0])
+            if b < 0:
+                in_range = False
+                break
+            bins.append(b)
+
+        if in_range:
+            ledger.add(y, tuple(bins))
+            for v, b in enumerate(bins):
+                counts[v][b] += 1
+            for v, b in enumerate(bins):
+                if counts[v][b] > marginals.freqs[v][b]:
+                    bucket = ledger.members[v][b]
+                    victim = bucket[rng.integers(len(bucket))]
+                    for vv, bb in enumerate(ledger.point_bins[victim]):
+                        counts[vv][bb] -= 1
+                    ledger.remove(victim)
+
+        if ledger.n_active > best_fill:
+            best_fill = ledger.n_active
+            stall = 0
+        else:
+            stall += 1
+            if stall >= cap:
+                deficits = {
+                    str(marginals.names[v]): int((marginals.freqs[v] - counts[v]).sum())
+                    for v in range(n_vars)
+                }
+                raise StallLimit(
+                    f"no net progress for {stall} iterations "
+                    f"({ledger.n_active}/{l} points placed)",
+                    partial=ledger.survivors(d),
+                    diagnostics={"iterations": iterations, "deficits": deficits},
+                )
+
+    return ledger.survivors(d)
+
+
+def _outcome(run):
+    """Output bytes, or the StallLimit partial and diagnostics, or the error."""
+    try:
+        out = run()
+    except StallLimit as exc:
+        return "stall", exc.partial.shape, exc.partial.tobytes(), exc.diagnostics, str(exc)
+    except KnnRexError as exc:
+        return type(exc).__name__, str(exc)
+    return "done", out.shape, out.tobytes()
+
+
+@st.composite
+def _corrected_case(draw):
+    """1-3 binned variables of a small sample (optionally with duplicated
+    points and one extra unbinned column), 1-6 bins each, an optional bin
+    outside the sample's range (the uniform-seed branch), totals from 0,
+    round_integers on or off, and m in {1, 2, k+1, between}."""
+    n_vars = draw(st.integers(1, 3))
+    d = n_vars + draw(st.integers(0, 1))
+    n = draw(st.integers(d + 2, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        X = X[rng.integers(0, n, size=n)]
+    total = draw(st.integers(0, 40))
+    edges, freqs = [], []
+    for v in range(n_vars):
+        e = np.linspace(X[:, v].min() - 0.5, X[:, v].max() + 0.5, draw(st.integers(1, 6)) + 1)
+        if v == 0 and draw(st.booleans()):
+            e = np.concatenate([[e[0] - 2.0], e])
+        weights = np.histogram(X[:, v], bins=e)[0] + 0.5
+        edges.append(e)
+        freqs.append(rng.multinomial(total, weights / weights.sum()))
+    names = tuple(f"x{v + 1}" for v in range(n_vars))
+    marg = MarginalSpec(names=names, edges=tuple(edges), freqs=tuple(freqs), total=total)
+    k = draw(st.integers(0, n - 1))
+    m = draw(st.sampled_from(sorted({1, min(2, k + 1), k + 1, max(1, (k + 2) // 2)})))
+    return X, marg, k, m, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corrected_case())
+def test_matches_reference_loop(case):
+    X, marg, k, m, round_integers, seed = case
+    got = _outcome(lambda: synth_bias_corrected(
+        X, marg, k, m, np.random.default_rng(seed), round_integers=round_integers))
+    want = _outcome(lambda: reference_bias_corrected(
+        X, marg, k, m, np.random.default_rng(seed), round_integers=round_integers))
+    assert got == want

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from knnrex.cli import main as cli_main
@@ -135,6 +136,18 @@ def test_bad_method_params_exit_1(tmp_path, capsys):
                     "--in", str(train), "--out", str(tmp_path / "y.csv")])
     assert code == 1
     assert "BadParams" in capsys.readouterr().err
+
+
+def test_km_on_repeated_values_exit_0(tmp_path):
+    # Integer-coded data: some drawn KCSs have all members equal, so their
+    # covariance is 0 and they must be rejected, not raise SingularSigma.
+    X = np.random.default_rng(0).integers(0, 3, size=(40, 2))
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in X))
+    out = tmp_path / "pop.csv"
+    assert run_cli(["synthesize", "--method", "km", "--m", "3", "--L", "10", "--l", "50",
+                    "--stall-limit", "200", "--in", str(train), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 51
 
 
 def test_timing_partition(tmp_path):

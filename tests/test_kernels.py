@@ -6,7 +6,6 @@ import pytest
 from knnrex import (
     EmptyKcs,
     SingularSigma,
-    gaussian_sample,
     kcs_stats,
     rex_density,
     rex_log_density,
@@ -128,25 +127,3 @@ def test_rex_density_normalizes_2d():
     vals = rex_density(pts, kcs).reshape(gx.shape)
     total = np.trapezoid(np.trapezoid(vals, axes[1], axis=1), axes[0])
     assert abs(total - 1.0) < 1e-3
-
-
-def test_gaussian_sample_zero_bandwidth_and_shape():
-    center = np.array([1.0, 2.0, 3.0])
-    out = gaussian_sample(center, 0.0, np.random.default_rng(0))
-    assert np.array_equal(out, center)
-    assert gaussian_sample(center, 1.0, np.random.default_rng(0)).shape == center.shape
-
-
-def test_gaussian_sample_consumes_d_draws():
-    center = np.zeros(3)
-    rng = np.random.default_rng(21)
-    out = gaussian_sample(center, 2.0, rng)
-    ref = np.random.default_rng(21)
-    assert np.array_equal(out, 2.0 * ref.standard_normal(3))
-    assert rng.standard_normal() == ref.standard_normal()
-
-
-def test_gaussian_sample_variance():
-    rng = np.random.default_rng(17)
-    draws = np.array([gaussian_sample(np.zeros(1), 2.0, rng)[0] for _ in range(200_000)])
-    assert abs(draws.var() - 4.0) < 0.04

@@ -52,14 +52,6 @@ def test_termination_bound():
     assert model.iterations >= stall_limit
 
 
-def test_single_member_move():
-    X = ring_sample(seed=11)
-    model = km_fit(X, L=4, m=4, rng=np.random.default_rng(12), stall_limit=100, move="single")
-    assert np.all(np.diff(model.history) > 0)
-    for row in model.kcss:
-        assert len(set(row.tolist())) == len(row)
-
-
 def test_bad_params():
     X = ring_sample()
     with pytest.raises(BadParams):
@@ -68,35 +60,6 @@ def test_bad_params():
         km_fit(X, L=0, m=3, rng=np.random.default_rng(0))
     with pytest.raises(BadParams):
         km_fit(X[:2], L=1, m=3, rng=np.random.default_rng(0))  # n < m
-    with pytest.raises(BadParams):
-        km_fit(X, L=1, m=3, rng=np.random.default_rng(0), move="swap")
-
-
-class _CountingRng:
-    """Generator proxy that fails after a fixed number of calls, so a test of
-    a loop that could spin forever fails instead of hanging."""
-
-    def __init__(self, seed, max_calls=10_000):
-        self._rng = np.random.default_rng(seed)
-        self._left = max_calls
-
-    def __getattr__(self, name):
-        attr = getattr(self._rng, name)
-
-        def call(*args, **kwargs):
-            self._left -= 1
-            assert self._left >= 0, "random stream drawn without end"
-            return attr(*args, **kwargs)
-
-        return call
-
-
-def test_single_member_move_needs_spare_point():
-    X = ring_sample(n=4)
-    with pytest.raises(BadParams, match="n > m"):
-        km_fit(X, L=2, m=4, rng=_CountingRng(0), stall_limit=5, move="single")
-    model = km_fit(X, L=2, m=3, rng=_CountingRng(0), stall_limit=5, move="single")
-    assert model.iterations >= 5
 
 
 def test_synth_degenerate_kcs():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from knnrex import BadIndex, BadParams, KTooLarge, build_knn, kth_distance, query_neighbors
+from knnrex import BadParams, KTooLarge, build_knn, query_neighbors
 
 FOUR_POINTS = np.array([[0.0], [1.0], [3.0], [7.0]])
 
@@ -60,15 +60,6 @@ def test_query_coincident_and_exhaustive():
     assert np.all(np.diff(dists) >= 0)
 
 
-def test_kth_distance_examples():
-    index = build_knn(FOUR_POINTS, 2)
-    assert kth_distance(index, 0) == 3.0
-    index3 = build_knn(FOUR_POINTS, 3)
-    assert kth_distance(index3, 0) == 7.0
-    dup = build_knn(np.array([[0.0], [0.0], [9.0]]), 1)
-    assert kth_distance(dup, 0) == 0.0
-
-
 def test_errors():
     with pytest.raises(KTooLarge):
         build_knn(FOUR_POINTS, 4)
@@ -76,11 +67,6 @@ def test_errors():
         build_knn(FOUR_POINTS, 0)
     with pytest.raises(KTooLarge):
         query_neighbors(FOUR_POINTS, np.array([0.0]), 5)
-    index = build_knn(FOUR_POINTS, 2)
-    with pytest.raises(BadIndex):
-        kth_distance(index, 4)
-    with pytest.raises(BadIndex):
-        kth_distance(index, -1)
 
 
 def test_agreement_with_oracle_on_random_instances():
