@@ -32,6 +32,7 @@ from .errors import (
     InconsistentMarginals,
     KnnRexError,
     KTooLarge,
+    NonFiniteSample,
     RejectionStall,
     SingularCovariance,
     SingularSigma,
@@ -53,7 +54,7 @@ from .estimators import (
     synth_knn_rex,
     synthesize,
 )
-from .evaluation import BinningSpec, IcvReport, hellinger, icv_run, make_binning, welch_t
+from .evaluation import BinningSpec, IcvReport, hellinger, icv_run, icv_sweep, make_binning, welch_t
 from .kernels import KcsStats, kcs_stats, rex_density, rex_log_density, rex_sample, rex_samples
 from .knn import KnnIndex, build_knn, query_neighbors
 from .whiten import WhitenTransform, whiten_apply, whiten_fit, whiten_invert

@@ -21,7 +21,7 @@ from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import BadSpec, KnnRexError
 from .estimators import EstimatorConfig, synth_bias_corrected, synthesize
-from .evaluation import hellinger, icv_run, make_binning
+from .evaluation import hellinger, icv_run, icv_sweep, make_binning
 from .knn import build_knn
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
@@ -282,25 +282,25 @@ def cmd_sweep(args):
     phases = _Phases()
     with phases.measure("read"):
         data = read_points_csv(getattr(args, "in"))
-    rows = []
+    cfgs = []
+    for name1, val1, name2, val2 in _sweep_grid(args):
+        cfg = EstimatorConfig(
+            method=METHOD_FLAGS[args.method],
+            seed=args.seed,
+            stall_limit=args.stall_limit,
+            ridge=args.ridge,
+        )
+        setattr(cfg, name1, val1)
+        if name2 is not None:
+            setattr(cfg, name2, val2)
+        cfg.validate()
+        cfgs.append(cfg)
     with phases.measure("evaluation"):
-        for name1, val1, name2, val2 in _sweep_grid(args):
-            cfg = EstimatorConfig(
-                method=METHOD_FLAGS[args.method],
-                seed=args.seed,
-                stall_limit=args.stall_limit,
-                ridge=args.ridge,
-            )
-            setattr(cfg, name1, val1)
-            if name2 is not None:
-                setattr(cfg, name2, val2)
-            cfg.validate()
-            report = icv_run(
-                data.values, cfg, folds=args.folds, bins_per_dim=args.bins, threads=args.threads
-            )
-            rows.append((cfg, report))
+        reports = icv_sweep(
+            data.values, cfgs, folds=args.folds, bins_per_dim=args.bins, threads=args.threads
+        )
     table = ["[sweep]", "method k m h L mean std baseline_mean"]
-    for cfg, report in rows:
+    for cfg, report in zip(cfgs, reports):
         table.append(
             f"{cfg.method} {cfg.k} {cfg.m} {cfg.h!r} {cfg.L} "
             f"{report.mean!r} {report.std!r} {report.baseline_mean!r}"

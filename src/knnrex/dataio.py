@@ -3,7 +3,9 @@
 Point CSVs: UTF-8, one header row with column names, decimal point, one
 record per line. Marginal files: header ``variable,lo,hi,freq``; rows for
 one variable must tile its range contiguously (each hi equals the next lo).
-Parse errors report the offending line number.
+Parse errors report the offending line number. Values are written as
+float64 in their shortest round-trip form, ``repr(float(v))``, so reading a
+written file gives back the same floats.
 """
 
 import csv
@@ -13,6 +15,10 @@ import numpy as np
 
 from .errors import BadSpec, CsvFormatError
 from .estimators import MarginalSpec
+
+# Rows formatted per write call: one block's text and field list stay well
+# below the memory of the k-NN build for any population written.
+WRITE_BLOCK_ROWS = 65_536
 
 
 @dataclass
@@ -75,11 +81,13 @@ def read_points_csv(path) -> PointSet:
 
 def write_points_csv(path, points: PointSet) -> None:
     columns = points.columns or default_columns(points.dim)
+    values = np.asarray(points.values, dtype=np.float64)
+    line = ",".join(["%r"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in points.values:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(handle, lineterminator="\n").writerow(columns)
+        for start in range(0, values.shape[0], WRITE_BLOCK_ROWS):
+            block = values[start : start + WRITE_BLOCK_ROWS]
+            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def read_marginals_csv(path, total: int) -> MarginalSpec:

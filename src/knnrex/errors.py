@@ -41,6 +41,10 @@ class EmptySample(KnnRexError):
     pass
 
 
+class NonFiniteSample(KnnRexError):
+    """A training sample holds NaN or an infinity; the message names the row."""
+
+
 class BadSpec(KnnRexError):
     pass
 

@@ -24,6 +24,7 @@ the caller's generator, so (seed, chunk_size) fixes the output exactly.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     BadSpec,
     EmptySample,
     InconsistentMarginals,
+    NonFiniteSample,
     SingularSigma,
     StallLimit,
 )
@@ -53,6 +55,10 @@ def _sample(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptySample("training sample is empty")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteSample(f"training sample row {row} is not finite: {X[row].tolist()!r}")
     return X
 
 
@@ -280,13 +286,20 @@ class MarginalSpec:
                 )
 
     def bin_of(self, var: int, values: np.ndarray) -> np.ndarray:
-        """Bin index per value for one variable; -1 for out-of-range values."""
+        """Bin index per value for one variable; -1 for out-of-range values and NaN."""
         edges = self.edges[var]
         values = np.asarray(values, dtype=np.float64)
         idx = np.searchsorted(edges, values, side="right") - 1
         idx = np.where(values == edges[-1], edges.size - 2, idx)
-        idx = np.where((values < edges[0]) | (values > edges[-1]), -1, idx)
-        return idx
+        return np.where((values >= edges[0]) & (values <= edges[-1]), idx, -1)
+
+
+def _bin_index(edges: list, value: float) -> int:
+    """``MarginalSpec.bin_of`` for one float on a list of the variable's edges."""
+    b = bisect_right(edges, value) - 1
+    if b == len(edges) - 1:  # at or past the last edge, or NaN
+        return b - 1 if value == edges[-1] else -1
+    return b
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
@@ -315,11 +328,17 @@ def synth_bias_corrected(
     exits exactly when all counts hit their targets.
 
     Every (variable, bin) pair has one flat id: variable v owns the ids
-    ``offsets[v] .. offsets[v+1]-1`` in bin order. Occupancy and targets are
-    int64 arrays over the flat ids, and the most vacant bin is the first
-    maximum of ``target - counts`` in flat order, so ties go to the earlier
-    variable, then the lower bin. Each bin keeps its members in a list with
+    ``offsets[v] .. offsets[v+1]-1`` in bin order. One int64 array holds the
+    vacancy (target minus count) of every flat id, and the most vacant bin
+    is its first maximum in flat order, so ties go to the earlier variable,
+    then the lower bin. Each bin keeps its members in a list with
     swap-removal, and an eviction picks a uniform position in that list.
+
+    A proposal's bin in each variable comes from one scalar rule on the
+    variable's edge list: ``bisect_right(edges, value) - 1``, except that the
+    last edge itself falls in the last bin (right-closed) and any value
+    outside ``[edges[0], edges[-1]]``, NaN included, gets -1, which rejects
+    the proposal. This is ``MarginalSpec.bin_of`` for one value.
 
     Raises StallLimit (carrying the partial output, the iteration count and
     the per-variable deficits) after ``STALL_FACTOR * l`` iterations without
@@ -354,19 +373,20 @@ def synth_bias_corrected(
         transform = whiten_fit(X)
         Xw = whiten_apply(transform, X)
         index = build_knn(Xw, k)
+        kcs = np.empty((m, d))  # the whitened seed, then its m-1 picks
     mins = X.min(axis=0)
     spans = X.max(axis=0) - mins
 
     sizes = [freq.size for freq in marginals.freqs]
     offsets = np.cumsum([0, *sizes]).tolist()
     flat_cols = np.repeat(var_cols, sizes).tolist()  # data column per flat id
-    target = np.concatenate(marginals.freqs)
+    vacancy = np.concatenate(marginals.freqs)
+    edge_lists = [e.tolist() for e in marginals.edges]
     lows = np.concatenate([e[:-1] for e in marginals.edges])
     highs = np.concatenate([e[1:] for e in marginals.edges])
     pools = [np.flatnonzero(bins == b) for bins, size in zip(sample_bins, sizes) for b in range(size)]
 
-    counts = np.zeros(target.size, dtype=np.int64)
-    members = [[] for _ in range(target.size)]  # point keys per flat id
+    members = [[] for _ in range(vacancy.size)]  # point keys per flat id
     # Per point ever placed: coordinates, flat ids, position in each of its
     # member lists, and whether it is still in the output.
     points, point_ids, slots, alive = [], [], [], []
@@ -383,7 +403,7 @@ def synth_bias_corrected(
     while placed < l:
         iterations += 1
 
-        f = int(np.argmax(target - counts))
+        f = int(vacancy.argmax())
         pool = pools[f]
         if pool.size > 0:
             seed_id = int(pool[rng.integers(pool.size)])
@@ -399,13 +419,15 @@ def synth_bias_corrected(
         y = seed
         if needs_kernel:
             picks = neighbors if m - 1 == k else neighbors[rng.permutation(k)[: m - 1]]
-            kcs = np.vstack([seed_w[np.newaxis, :], Xw[picks]])
+            kcs[0] = seed_w
+            kcs[1:] = Xw[picks]
             y = whiten_invert(transform, rex_sample(kcs, rng)[np.newaxis, :])[0]
 
         if round_integers:
             y = _round_half_away(y)
 
-        bins = [int(marginals.bin_of(v, y[col])) for v, col in enumerate(var_cols)]
+        values = y.tolist()
+        bins = [_bin_index(edges, values[col]) for edges, col in zip(edge_lists, var_cols)]
         if min(bins) >= 0:
             key = len(points)
             ids = [b + o for b, o in zip(bins, offsets)]
@@ -414,17 +436,17 @@ def synth_bias_corrected(
             slots.append([len(members[f]) for f in ids])
             alive.append(True)
             placed += 1
-            counts[ids] += 1
             for f in ids:
+                vacancy[f] -= 1
                 members[f].append(key)
-            # Drain any bin the new point overfilled; eviction decrements the
-            # victim's counts across all variables, so counts only go down.
+            # Drain any bin the new point overfilled; eviction frees the
+            # victim's bins across all variables, so vacancies only go up.
             for f in ids:
-                if counts[f] > target[f]:
+                if vacancy[f] < 0:
                     bucket = members[f]
                     victim = bucket[rng.integers(len(bucket))]
-                    counts[point_ids[victim]] -= 1
                     for v, g in enumerate(point_ids[victim]):
+                        vacancy[g] += 1
                         last = members[g].pop()
                         if last != victim:
                             members[g][slots[victim][v]] = last
@@ -438,7 +460,7 @@ def synth_bias_corrected(
         else:
             stall += 1
             if stall >= cap:
-                deficits = np.add.reduceat(target - counts, offsets[:-1]).tolist()
+                deficits = np.add.reduceat(vacancy, offsets[:-1]).tolist()
                 raise StallLimit(
                     f"no net progress for {stall} iterations ({placed}/{l} points placed)",
                     partial=survivors(),

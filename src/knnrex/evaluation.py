@@ -9,6 +9,7 @@ Inverted cross-validation trains on one small fold and scores the synthetic
 population against the remaining folds.
 """
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -234,21 +235,36 @@ def icv_run(
     ``threads`` and a fixed master seed reproduces everything, fold
     assignment included.
     """
+    return icv_sweep(data, [cfg], folds, bins_per_dim, threads)[0]
+
+
+def icv_sweep(
+    data: np.ndarray,
+    cfgs: list,
+    folds: int = 100,
+    bins_per_dim: int = 10,
+    threads: int = 1,
+) -> list:
+    """``icv_run`` of each config of ``cfgs`` on the same data, in order.
+
+    The fold split, and so the copying baseline, depends only on the seed:
+    the first config with a seed scores its baseline, and later configs with
+    that seed reuse it (so their ``fold_seconds`` leave its time out).
+    """
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if folds < 2:
         raise BadParams(f"need folds >= 2, got {folds}")
     if n < folds:
         raise TooFewPoints(f"need at least one point per fold: n = {n}, folds = {folds}")
-    rng = np.random.default_rng(cfg.seed)
-
     fold_size = n // folds
     used = fold_size * folds
-    shuffled = data[rng.permutation(n)[:used]]
     population_size = (folds - 1) * fold_size
-    streams = rng.spawn(folds)
 
-    def run_fold(i):
+    def score(a, b):
+        return hellinger(a, b, make_binning(np.concatenate([a, b]), bins_per_dim))
+
+    def run_fold(cfg, shuffled, streams, known_bases, i):
         t0 = time.perf_counter()
         lo, hi = i * fold_size, (i + 1) * fold_size
         train = shuffled[lo:hi]
@@ -257,25 +273,35 @@ def icv_run(
         train_w = whiten_apply(transform, train)
         synth_w = synthesize(cfg, train_w, population_size, streams[i])
         synth = whiten_invert(transform, synth_w)
-        score = hellinger(synth, test, make_binning(np.concatenate([synth, test]), bins_per_dim))
-        base = hellinger(train, test, make_binning(np.concatenate([train, test]), bins_per_dim))
-        return score, base, time.perf_counter() - t0
+        fold_score = score(synth, test)
+        base = score(train, test) if known_bases is None else known_bases[i]
+        return fold_score, base, time.perf_counter() - t0
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_fold, range(folds)))
-    else:
-        results = [run_fold(i) for i in range(folds)]
+    reports = []
+    baselines = {}  # seed -> the copying baseline of each fold
+    for cfg in cfgs:
+        rng = np.random.default_rng(cfg.seed)
+        shuffled = data[rng.permutation(n)[:used]]
+        fold = functools.partial(run_fold, cfg, shuffled, rng.spawn(folds), baselines.get(cfg.seed))
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(fold, range(folds)))
+        else:
+            results = [fold(i) for i in range(folds)]
 
-    scores, bases, seconds = (np.asarray(col) for col in zip(*results))
-    return IcvReport(
-        config=cfg.echo(),
-        folds=folds,
-        bins_per_dim=bins_per_dim,
-        n_used=used,
-        fold_size=fold_size,
-        population_size=population_size,
-        fold_hellinger=scores,
-        baseline_hellinger=bases,
-        fold_seconds=seconds,
-    )
+        scores, bases, seconds = (np.asarray(col) for col in zip(*results))
+        baselines[cfg.seed] = bases
+        reports.append(
+            IcvReport(
+                config=cfg.echo(),
+                folds=folds,
+                bins_per_dim=bins_per_dim,
+                n_used=used,
+                fold_size=fold_size,
+                population_size=population_size,
+                fold_hellinger=scores,
+                baseline_hellinger=bases,
+                fold_seconds=seconds,
+            )
+        )
+    return reports

@@ -9,6 +9,7 @@ from knnrex import (
     InconsistentMarginals,
     KnnRexError,
     MarginalSpec,
+    NonFiniteSample,
     StallLimit,
     build_knn,
     gen_gmm,
@@ -19,6 +20,7 @@ from knnrex import (
     whiten_fit,
     whiten_invert,
 )
+from knnrex.estimators import _bin_index
 
 
 def histogram_oracle(values, edges):
@@ -150,6 +152,50 @@ def test_sample_outside_bins_rejected():
     )
     with pytest.raises(InconsistentMarginals):
         synth_bias_corrected(X, marg, k=1, m=1, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sample_rejected(bad):
+    X = np.random.default_rng(4).uniform(0.0, 1.0, size=(30, 2))
+    X[11, 1] = bad
+    marg = MarginalSpec(
+        names=("x1",), edges=(np.asarray([0.0, 0.5, 1.0]),), freqs=(np.asarray([5, 5]),), total=10
+    )
+    for k, m in ((0, 1), (5, 3)):
+        with pytest.raises(NonFiniteSample, match="row 11"):
+            synth_bias_corrected(X, marg, k=k, m=m, rng=np.random.default_rng(0))
+
+
+def test_bin_of_nan_is_out_of_range():
+    marg = MarginalSpec(
+        names=("x1",), edges=(np.asarray([0.0, 1.0, 2.0]),), freqs=(np.asarray([1, 1]),), total=2
+    )
+    assert marg.bin_of(0, [np.nan, -0.5, 0.0, 1.0, 2.0, 2.5]).tolist() == [-1, -1, 0, 1, 1, -1]
+
+
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 2.0**53]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EDGE_VALUES, min_size=2, max_size=7, unique=True), st.lists(st.floats(), max_size=5))
+def test_scalar_bin_rule_matches_bin_of(edges, extra):
+    edges = sorted(edges)
+    marg = MarginalSpec(
+        names=("x1",),
+        edges=(np.asarray(edges),),
+        freqs=(np.zeros(len(edges) - 1, dtype=np.int64),),
+        total=0,
+    )
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, *extra]
+    with np.errstate(over="ignore"):  # the neighbours of +-max are +-inf
+        for e in edges:
+            values += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+    values = [float(v) for v in values]
+    edge_list = marg.edges[0].tolist()
+    assert [_bin_index(edge_list, v) for v in values] == marg.bin_of(0, values).tolist()
 
 
 def test_bad_spec_errors():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import knnrex.evaluation
 from knnrex.cli import main as cli_main
 
 from golden_cases import CASES, GOLDEN_DIR, run_case, strip_timings
@@ -213,3 +214,21 @@ def test_malformed_gmm_spec_exit_1(tmp_path, capsys):
 
 def test_version():
     assert run_cli(["--version"]) == 0
+
+
+def test_sweep_scores_the_copying_baseline_once(tmp_path, monkeypatch):
+    # 2 grid points x 4 folds of method scores, plus 4 baseline scores shared
+    # by both grid points (they have the same seed, so the same folds).
+    calls = []
+    hellinger = knnrex.evaluation.hellinger
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hellinger(*args, **kwargs)
+
+    data = str(tmp_path / "data.csv")
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "60", "--seed", "2", "--out", data]) == 0
+    monkeypatch.setattr(knnrex.evaluation, "hellinger", counting)
+    argv = ["sweep", "--method", "knn-rex", "--k", "5,8", "--folds", "4", "--in", data]
+    assert run_cli(argv + ["--out", str(tmp_path / "sweep.txt")]) == 0
+    assert len(calls) == 12

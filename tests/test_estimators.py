@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from knnrex import (
     BadParams,
     EmptySample,
+    NonFiniteSample,
     build_knn,
     km_fit,
     km_synth,
@@ -135,6 +136,16 @@ def test_bmp_degenerate_and_bootstrap():
     data = rng.normal(size=(25, 3))
     boot = synth_bmp(data, 3, 0.0, 80, np.random.default_rng(2))
     assert rows_in(boot, data)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_sample_rejected(method, bad):
+    X = np.random.default_rng(3).normal(size=(30, 2))
+    X[17, 0] = bad
+    cfg = EstimatorConfig(method=method, k=5, m=3, L=2, stall_limit=5)
+    with pytest.raises(NonFiniteSample, match="row 17"):
+        synthesize(cfg, X, 10, np.random.default_rng(1))
 
 
 def test_suggest_params():

@@ -15,6 +15,7 @@ from knnrex import (
     gen_ring,
     hellinger,
     icv_run,
+    icv_sweep,
     make_binning,
     welch_t,
 )
@@ -285,6 +286,25 @@ def test_icv_reproducible_and_thread_invariant(cfg):
     assert np.array_equal(r1.fold_hellinger, r2.fold_hellinger)
     assert np.array_equal(r1.baseline_hellinger, r2.baseline_hellinger)
     assert np.array_equal(r1.fold_hellinger, r4.fold_hellinger)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_icv_sweep_matches_separate_runs(threads):
+    # Two seeds, so a baseline reused across seeds would show.
+    data = gen_ring(150, np.random.default_rng(11))
+    cfgs = [
+        EstimatorConfig(method="knn_rex", k=6, m=2, seed=4),
+        EstimatorConfig(method="fixed_gaussian", h=0.2, seed=9),
+        EstimatorConfig(method="knn_rex", k=6, m=3, seed=4),
+        EstimatorConfig(method="bmp", k=5, h=0.3, seed=9),
+    ]
+    swept = icv_sweep(data, cfgs, folds=5, bins_per_dim=4, threads=threads)
+    for cfg, report in zip(cfgs, swept):
+        alone = icv_run(data, cfg, folds=5, bins_per_dim=4)
+        assert report.config == alone.config
+        assert np.array_equal(report.fold_hellinger, alone.fold_hellinger)
+        assert np.array_equal(report.baseline_hellinger, alone.baseline_hellinger)
+    assert not np.array_equal(swept[0].baseline_hellinger, swept[1].baseline_hellinger)
 
 
 def test_icv_methods_run():
