@@ -8,10 +8,12 @@ same inputs and seed.
 """
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import BadSpec, KnnRexError
 from .estimators import EstimatorConfig, synth_bias_corrected, synthesize
-from .evaluation import hellinger, icv_run, icv_sweep, make_binning
+from .evaluation import icv_run, icv_sweep, union_hellinger
 from .knn import build_knn
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
@@ -31,6 +33,19 @@ METHOD_FLAGS = {
     "bmp": "bmp",
     "km": "km_rex",
 }
+
+# The EstimatorConfig fields other than the method; the synthesis commands
+# take each as a flag typed and defaulted by the field.
+PARAMS = {f.name: f for f in fields(EstimatorConfig) if f.name != "method"}
+
+# Per method, the fields a sweep grids over; sweep takes these as comma lists.
+SWEPT = {
+    "knn_rex": ("k", "m"),
+    "fixed_gaussian": ("h",),
+    "bmp": ("k", "h"),
+    "km_rex": ("L", "m"),
+}
+GRID_FLAGS = {name for names in SWEPT.values() for name in names}
 
 
 class _Phases:
@@ -92,12 +107,18 @@ def _int_at_least(lo):
     return parse
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v != ""]
+def _comma_list(parse):
+    """argparse type: a non-empty comma-separated list of ``parse`` values."""
 
+    def parse_list(text):
+        try:
+            return [parse(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid comma-separated {parse.__name__} list: {text!r}"
+            ) from None
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v != ""]
+    return parse_list
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +155,11 @@ def cmd_gen_data(args):
     return 0
 
 
-def _resolve_config(args):
-    cfg = EstimatorConfig(
-        method=METHOD_FLAGS[args.method],
-        k=args.k,
-        m=args.m,
-        h=args.h,
-        L=args.L,
-        seed=args.seed,
-        stall_limit=args.stall_limit,
-        ridge=args.ridge,
-    )
+def _resolve_config(args, names=PARAMS):
+    """The validated config of ``--method`` and the flags ``names``; any
+    other field keeps its default."""
+    values = {name: getattr(args, name) for name in names}
+    cfg = EstimatorConfig(METHOD_FLAGS[args.method], **values)
     cfg.validate()
     return cfg
 
@@ -210,8 +225,7 @@ def cmd_evaluate(args):
         a = read_points_csv(args.a)
         b = read_points_csv(args.b)
     with phases.measure("evaluation"):
-        binning = make_binning(np.concatenate([a.values, b.values]), args.bins)
-        distance = hellinger(a.values, b.values, binning)
+        distance = union_hellinger(a.values, b.values, args.bins)
     config = {"a": args.a, "b": args.b, "bins": args.bins}
     sections = [
         [
@@ -241,7 +255,8 @@ def _icv_sections(report, subcommand, config, phases):
         f"bins_per_dim: {report.bins_per_dim}",
     ]
     table = ["[folds]", "fold hellinger baseline"]
-    for i, (score, base) in enumerate(zip(report.fold_hellinger, report.baseline_hellinger)):
+    scores = zip(report.fold_hellinger.tolist(), report.baseline_hellinger.tolist())
+    for i, (score, base) in enumerate(scores):
         table.append(f"{i:03d} {score!r} {base!r}")
     timing = ["[timing]", "time_fold_seconds: " + " ".join(f"{s:.6f}" for s in report.fold_seconds)]
     manifest = ["[manifest]"] + _manifest_lines(subcommand, config, phases)
@@ -267,34 +282,16 @@ def cmd_icv(args):
     return 0
 
 
-def _sweep_grid(args):
-    method = METHOD_FLAGS[args.method]
-    if method == "knn_rex":
-        return [("k", k, "m", m) for k in _int_list(args.k) for m in _int_list(args.m)]
-    if method == "fixed_gaussian":
-        return [("h", h, None, None) for h in _float_list(args.h)]
-    if method == "bmp":
-        return [("k", k, "h", h) for k in _int_list(args.k) for h in _float_list(args.h)]
-    return [("L", L, "m", m) for L in _int_list(args.L) for m in _int_list(args.m)]
-
-
 def cmd_sweep(args):
     phases = _Phases()
+    base = _resolve_config(args, PARAMS.keys() - GRID_FLAGS)
+    swept = SWEPT[base.method]
+    grid = itertools.product(*(getattr(args, name) for name in swept))
+    cfgs = [replace(base, **dict(zip(swept, point))) for point in grid]
+    for cfg in cfgs:
+        cfg.validate()
     with phases.measure("read"):
         data = read_points_csv(getattr(args, "in"))
-    cfgs = []
-    for name1, val1, name2, val2 in _sweep_grid(args):
-        cfg = EstimatorConfig(
-            method=METHOD_FLAGS[args.method],
-            seed=args.seed,
-            stall_limit=args.stall_limit,
-            ridge=args.ridge,
-        )
-        setattr(cfg, name1, val1)
-        if name2 is not None:
-            setattr(cfg, name2, val2)
-        cfg.validate()
-        cfgs.append(cfg)
     with phases.measure("evaluation"):
         reports = icv_sweep(
             data.values, cfgs, folds=args.folds, bins_per_dim=args.bins, threads=args.threads
@@ -306,11 +303,8 @@ def cmd_sweep(args):
             f"{report.mean!r} {report.std!r} {report.baseline_mean!r}"
         )
     config = {
-        "method": METHOD_FLAGS[args.method],
-        "k": args.k,
-        "m": args.m,
-        "h": args.h,
-        "L": args.L,
+        "method": base.method,
+        **{name: ",".join(map(str, getattr(args, name))) for name in GRID_FLAGS},
         "folds": args.folds,
         "bins": args.bins,
         "seed": args.seed,
@@ -328,9 +322,8 @@ def cmd_validate_asymptotics(args):
     else:
         model = linear_model(args.dim, args.slope)
     x = np.zeros(args.dim)
-    deltas = _float_list(args.deltas)
     with phases.measure("evaluation"):
-        report = asymptotics_report(model, x, deltas, args.samples, rng)
+        report = asymptotics_report(model, x, args.deltas, args.samples, rng)
     lines = [
         "[results]",
         f"density: {args.density}",
@@ -356,7 +349,7 @@ def cmd_validate_asymptotics(args):
         "density": args.density,
         "dim": args.dim,
         "slope": args.slope,
-        "deltas": args.deltas,
+        "deltas": ",".join(map(str, args.deltas)),
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -369,19 +362,24 @@ def cmd_validate_asymptotics(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_method_flags(sub, include_l=True):
+def _add_param_flag(sub, name, listed=False):
+    """Declare the flag of config field ``name`` with the field's type and
+    default; a ``listed`` flag takes a comma list, by default the one-item
+    list of the field's default."""
+    field = PARAMS[name]
+    sub.add_argument(
+        "--" + name.replace("_", "-"),
+        dest=name,
+        type=_comma_list(field.type) if listed else field.type,
+        default=[field.default] if listed else field.default,
+        help="comma-separated list" if listed else None,
+    )
+
+
+def _add_method_flags(sub, lists=()):
     sub.add_argument("--method", required=True, choices=sorted(METHOD_FLAGS))
-    sub.add_argument("--k", type=int, default=30)
-    sub.add_argument("--m", type=int, default=3)
-    sub.add_argument("--h", type=float, default=0.05)
-    sub.add_argument("--L", type=int, default=10)
-    if include_l:
-        sub.add_argument(
-            "--l", type=_int_at_least(1), required=True, help="population size to synthesize"
-        )
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--ridge", type=float, default=0.0)
-    sub.add_argument("--stall-limit", type=int, default=10_000, dest="stall_limit")
+    for name in PARAMS:
+        _add_param_flag(sub, name, listed=name in lists)
 
 
 def build_parser():
@@ -402,14 +400,16 @@ def build_parser():
 
     syn = subs.add_parser("synthesize", help="whiten, resample, write a population CSV")
     _add_method_flags(syn)
+    syn.add_argument(
+        "--l", type=_int_at_least(1), required=True, help="population size to synthesize"
+    )
     syn.add_argument("--in", required=True)
     syn.add_argument("--out", required=True)
     syn.set_defaults(func=cmd_synthesize)
 
     cor = subs.add_parser("synthesize-corrected", help="synthesis matching marginal frequencies")
-    cor.add_argument("--k", type=int, default=30)
-    cor.add_argument("--m", type=int, default=3)
-    cor.add_argument("--seed", type=int, default=0)
+    for name in ("k", "m", "seed"):
+        _add_param_flag(cor, name)
     cor.add_argument("--round-integers", action="store_true", dest="round_integers")
     cor.add_argument("--marginals", required=True, help="CSV: variable,lo,hi,freq")
     cor.add_argument("--total", type=int, required=True, help="declared population size")
@@ -425,7 +425,7 @@ def build_parser():
     ev.set_defaults(func=cmd_evaluate)
 
     icv = subs.add_parser("icv", help="inverted cross-validation of one method")
-    _add_method_flags(icv, include_l=False)
+    _add_method_flags(icv)
     icv.add_argument("--folds", type=int, default=100)
     icv.add_argument("--bins", type=int, default=10)
     icv.add_argument("--threads", type=_int_at_least(1), default=1)
@@ -434,26 +434,19 @@ def build_parser():
     icv.set_defaults(func=cmd_icv)
 
     sw = subs.add_parser("sweep", help="parameter grid of inverted cross-validations")
-    sw.add_argument("--method", required=True, choices=sorted(METHOD_FLAGS))
-    sw.add_argument("--k", default="30", help="comma-separated list")
-    sw.add_argument("--m", default="3", help="comma-separated list")
-    sw.add_argument("--h", default="0.05", help="comma-separated list")
-    sw.add_argument("--L", default="10", help="comma-separated list")
+    _add_method_flags(sw, lists=GRID_FLAGS)
     sw.add_argument("--folds", type=int, default=100)
     sw.add_argument("--bins", type=int, default=10)
     sw.add_argument("--threads", type=_int_at_least(1), default=1)
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--ridge", type=float, default=0.0)
-    sw.add_argument("--stall-limit", type=int, default=10_000, dest="stall_limit")
     sw.add_argument("--in", required=True)
     sw.add_argument("--out")
     sw.set_defaults(func=cmd_sweep)
 
     va = subs.add_parser("validate-asymptotics", help="small-ball covariance: theory vs Monte Carlo")
     va.add_argument("--density", choices=["uniform", "linear"], default="uniform")
-    va.add_argument("--dim", type=int, default=2)
+    va.add_argument("--dim", type=_int_at_least(1), default=2)
     va.add_argument("--slope", type=float, default=5.0)
-    va.add_argument("--deltas", default="0.2,0.1")
+    va.add_argument("--deltas", type=_comma_list(float), default=[0.2, 0.1])
     va.add_argument("--samples", type=int, default=100_000)
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--out")

@@ -19,8 +19,8 @@ and ``suggest_params``, the optimization-free parameter rule.
 ``synthesize(cfg, X, l, rng, index=None)`` is the only code that maps an
 ``EstimatorConfig`` to its synthesizer; the CLI and inverted cross-validation
 call it. The k-NN REX and Gaussian synthesizers share one chunk loop: chunk
-i of ``chunk_size`` points draws only from the i-th child stream spawned from
-the caller's generator, so (seed, chunk_size) fixes the output exactly.
+i of ``DEFAULT_CHUNK`` points draws only from the i-th child stream spawned
+from the caller's generator, so a seed pins the output exactly.
 """
 
 import math
@@ -69,9 +69,9 @@ def _check_rex(k: int, m: int) -> None:
         raise BadParams(f"need 1 <= m <= k+1, got m = {m}, k = {k}")
 
 
-def _check_h(h: float) -> None:
-    if h < 0:
-        raise BadParams(f"bandwidth must be >= 0, got {h}")
+def _check_scale(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise BadParams(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -85,7 +85,6 @@ class EstimatorConfig:
     L: int = 10
     seed: int = 0
     stall_limit: int = 10_000
-    round_integers: bool = False
     ridge: float = 0.0
 
     def validate(self) -> None:
@@ -94,9 +93,11 @@ class EstimatorConfig:
         if self.method == "knn_rex":
             _check_rex(self.k, self.m)
         if self.method in ("fixed_gaussian", "bmp"):
-            _check_h(self.h)
-        if self.method == "km_rex" and self.L < 1:
-            raise BadParams(f"need L >= 1, got {self.L}")
+            _check_scale("bandwidth h", self.h)
+        if self.method == "km_rex":
+            if self.L < 1:
+                raise BadParams(f"need L >= 1, got {self.L}")
+            _check_scale("ridge", self.ridge)
 
     @property
     def uses_index(self) -> bool:
@@ -131,12 +132,12 @@ def synthesize(
     return km_synth(model, X_w, l, rng)
 
 
-def _chunked(l: int, d: int, rng: np.random.Generator, chunk_size: int, draw) -> np.ndarray:
+def _chunked(l: int, d: int, rng: np.random.Generator, draw) -> np.ndarray:
     """Fill an (l, d) output chunk by chunk with ``draw(size, chunk_rng)``."""
     out = np.empty((l, d))
-    starts = range(0, l, chunk_size)
+    starts = range(0, l, DEFAULT_CHUNK)
     for start, crng in zip(starts, rng.spawn(len(starts))):
-        stop = min(start + chunk_size, l)
+        stop = min(start + DEFAULT_CHUNK, l)
         out[start:stop] = draw(stop - start, crng)
     return out
 
@@ -147,7 +148,6 @@ def synth_knn_rex(
     m: int,
     l: int,
     rng: np.random.Generator,
-    chunk_size: int = DEFAULT_CHUNK,
     index=None,
 ) -> np.ndarray:
     """Synthesize l points with the k-nearest-neighbor REX kernel.
@@ -180,10 +180,10 @@ def synth_knn_rex(
             picks = np.take_along_axis(neighbors, pos, axis=1)
         return rex_batch(X[np.column_stack((seeds, picks))], crng)
 
-    return _chunked(l, d, rng, chunk_size, draw)
+    return _chunked(l, d, rng, draw)
 
 
-def _gaussian(X, widths, l, rng, chunk_size):
+def _gaussian(X, widths, l, rng):
     """Resample X with per-point spherical Gaussian noise of std ``widths``."""
     n, d = X.shape
 
@@ -192,7 +192,7 @@ def _gaussian(X, widths, l, rng, chunk_size):
         z = crng.standard_normal((size, d))
         return X[seeds] + widths[seeds, np.newaxis] * z
 
-    return _chunked(l, d, rng, chunk_size, draw)
+    return _chunked(l, d, rng, draw)
 
 
 def synth_fixed_gaussian(
@@ -200,12 +200,11 @@ def synth_fixed_gaussian(
     h: float,
     l: int,
     rng: np.random.Generator,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Synthesize l points from the fixed scalar-bandwidth Gaussian mixture."""
     X = _sample(X)
-    _check_h(h)
-    return _gaussian(X, np.full(X.shape[0], h, dtype=np.float64), l, rng, chunk_size)
+    _check_scale("bandwidth h", h)
+    return _gaussian(X, np.full(X.shape[0], h, dtype=np.float64), l, rng)
 
 
 def synth_bmp(
@@ -214,15 +213,14 @@ def synth_bmp(
     h: float,
     l: int,
     rng: np.random.Generator,
-    chunk_size: int = DEFAULT_CHUNK,
     index=None,
 ) -> np.ndarray:
     """Synthesize l points with per-point bandwidth h * delta_ik."""
     X = _sample(X)
-    _check_h(h)
+    _check_scale("bandwidth h", h)
     if index is None:
         index = build_knn(X, k)
-    return _gaussian(X, h * index.dists[:, k - 1], l, rng, chunk_size)
+    return _gaussian(X, h * index.dists[:, k - 1], l, rng)
 
 
 def suggest_params(d_intrinsic: int, n: int | None = None) -> tuple[int, int]:
@@ -533,6 +531,7 @@ def km_fit(
         raise BadParams(f"need m >= d+1 = {d + 1} for an evaluable density, got m = {m}")
     if L < 1:
         raise BadParams(f"need L >= 1, got {L}")
+    _check_scale("ridge", ridge)
     if n < m:
         raise BadParams(f"need n >= m, got n = {n}, m = {m}")
 

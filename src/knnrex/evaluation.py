@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParams, DegenerateVariance, EmptyData, TooFewPoints
+from .errors import BadParams, DegenerateVariance, DimensionMismatch, EmptyData, TooFewPoints
 from .estimators import EstimatorConfig, synthesize
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
@@ -104,6 +104,15 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
     py = np.sqrt(cy / Y.shape[0])
     pz = np.sqrt(cz / Z.shape[0])
     return float(np.sqrt(0.5 * np.sum((py - pz) ** 2)))
+
+
+def union_hellinger(Y: np.ndarray, Z: np.ndarray, bins_per_dim: int) -> float:
+    """``hellinger`` of Y and Z on a binning built on their union."""
+    Y = np.asarray(Y, dtype=np.float64)
+    Z = np.asarray(Z, dtype=np.float64)
+    if Y.shape[1:] != Z.shape[1:]:
+        raise DimensionMismatch(f"cannot compare points of shapes {Y.shape} and {Z.shape}")
+    return hellinger(Y, Z, make_binning(np.concatenate([Y, Z]), bins_per_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +270,6 @@ def icv_sweep(
     used = fold_size * folds
     population_size = (folds - 1) * fold_size
 
-    def score(a, b):
-        return hellinger(a, b, make_binning(np.concatenate([a, b]), bins_per_dim))
-
     def run_fold(cfg, shuffled, streams, known_bases, i):
         t0 = time.perf_counter()
         lo, hi = i * fold_size, (i + 1) * fold_size
@@ -273,8 +279,8 @@ def icv_sweep(
         train_w = whiten_apply(transform, train)
         synth_w = synthesize(cfg, train_w, population_size, streams[i])
         synth = whiten_invert(transform, synth_w)
-        fold_score = score(synth, test)
-        base = score(train, test) if known_bases is None else known_bases[i]
+        fold_score = union_hellinger(synth, test, bins_per_dim)
+        base = union_hellinger(train, test, bins_per_dim) if known_bases is None else known_bases[i]
         return fold_score, base, time.perf_counter() - t0
 
     reports = []

@@ -1,8 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import knnrex.evaluation
+from knnrex.cli import _resolve_config, build_parser
 from knnrex.cli import main as cli_main
+from knnrex.estimators import EstimatorConfig
 
 from golden_cases import CASES, GOLDEN_DIR, run_case, strip_timings
 
@@ -232,3 +240,73 @@ def test_sweep_scores_the_copying_baseline_once(tmp_path, monkeypatch):
     argv = ["sweep", "--method", "knn-rex", "--k", "5,8", "--folds", "4", "--in", data]
     assert run_cli(argv + ["--out", str(tmp_path / "sweep.txt")]) == 0
     assert len(calls) == 12
+
+
+# Malformed invocations: (argv, exit code, stderr fragment). {ring} is a 2-D
+# and {swiss} a 3-D point set; {missing} does not exist, so a diagnostic about
+# the flags shows they are checked before any input is read.
+MALFORMED = [
+    (["synthesize", "--method", "fixed", "--h", "nan", "--l", "5", "--in", "{ring}"], 1,
+     "BadParams: bandwidth h must be finite and >= 0, got nan"),
+    (["synthesize", "--method", "bmp", "--h", "inf", "--l", "5", "--in", "{ring}"], 1,
+     "BadParams: bandwidth h must be finite and >= 0, got inf"),
+    (["synthesize", "--method", "km", "--ridge", "nan", "--l", "5", "--in", "{ring}"], 1,
+     "BadParams: ridge must be finite and >= 0, got nan"),
+    (["synthesize", "--method", "km", "--ridge", "-1", "--l", "5", "--in", "{ring}"], 1,
+     "BadParams: ridge must be finite and >= 0, got -1.0"),
+    (["icv", "--method", "fixed", "--h", "nan", "--folds", "2", "--in", "{missing}"], 1,
+     "BadParams: bandwidth h"),
+    (["sweep", "--method", "km", "--ridge", "nan", "--folds", "2", "--in", "{missing}"], 1,
+     "BadParams: ridge"),
+    (["sweep", "--method", "bmp", "--k", "3", "--h", "0.1,inf", "--folds", "2",
+      "--in", "{missing}"], 1, "BadParams: bandwidth h"),
+    (["evaluate", "--a", "{ring}", "--b", "{swiss}"], 1, "DimensionMismatch"),
+    (["sweep", "--method", "knn-rex", "--k", "5,x", "--folds", "2", "--in", "{ring}"], 2,
+     "--k: invalid comma-separated int list: '5,x'"),
+    (["sweep", "--method", "knn-rex", "--k", ",", "--folds", "2", "--in", "{ring}"], 2,
+     "--k: invalid comma-separated int list: ','"),
+    (["validate-asymptotics", "--deltas", "0.2,abc", "--samples", "100"], 2,
+     "--deltas: invalid comma-separated float list: '0.2,abc'"),
+    (["validate-asymptotics", "--dim", "0", "--samples", "100"], 2, "--dim: must be >= 1, got 0"),
+    (["validate-asymptotics", "--dim", "-1", "--samples", "100"], 2,
+     "--dim: must be >= 1, got -1"),
+]
+
+
+@pytest.fixture(scope="module")
+def point_sets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("points")
+    paths = {"ring": root / "ring.csv", "swiss": root / "swiss.csv", "missing": root / "no.csv"}
+    for dataset, name in (("ring", "ring"), ("swissroll", "swiss")):
+        assert run_cli(["gen-data", "--dataset", dataset, "--n", "40", "--seed", "0",
+                        "--out", str(paths[name])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("argv, code, message", MALFORMED)
+def test_malformed_invocations_get_a_diagnostic(tmp_path, point_sets, argv, code, message):
+    out = tmp_path / "out.txt"
+    argv = [arg.format(**point_sets) for arg in argv] + ["--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(knnrex.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "knnrex.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == code
+    assert "Traceback" not in run.stderr
+    assert message in run.stderr
+    assert not out.exists() and not (tmp_path / "out.txt.manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "icv", "sweep"])
+def test_bare_parse_resolves_to_config_defaults(command):
+    argv = [command, "--method", "knn-rex", "--in", "x.csv"]
+    if command == "synthesize":
+        argv += ["--l", "1", "--out", "y.csv"]
+    args = build_parser().parse_args(argv)
+    defaults = EstimatorConfig("knn_rex")
+    for field in fields(EstimatorConfig)[1:]:
+        expected = getattr(defaults, field.name)
+        if command == "sweep" and field.name in ("k", "m", "h", "L"):
+            expected = [expected]
+        assert getattr(args, field.name) == expected
+    if command != "sweep":
+        assert _resolve_config(args) == defaults

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from knnrex import (
     synth_knn_rex,
     synthesize,
 )
+import knnrex.estimators
 from knnrex.estimators import DEFAULT_CHUNK, METHODS, EstimatorConfig
 
 
@@ -49,8 +51,9 @@ def test_knn_rex_contract():
 def test_knn_rex_reproducible_and_chunk_contract():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 2))
-    a = synth_knn_rex(X, 7, 4, 300, np.random.default_rng(9), chunk_size=128)
-    b = synth_knn_rex(X, 7, 4, 300, np.random.default_rng(9), chunk_size=128)
+    with mock.patch.object(knnrex.estimators, "DEFAULT_CHUNK", 128):
+        a = synth_knn_rex(X, 7, 4, 300, np.random.default_rng(9))
+        b = synth_knn_rex(X, 7, 4, 300, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
@@ -169,6 +172,23 @@ def test_estimator_config_validation():
         EstimatorConfig(method="fixed_gaussian", h=-1.0).validate()
     with pytest.raises(BadParams):
         EstimatorConfig(method="km_rex", L=0).validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_non_finite_or_negative_scales_rejected(bad):
+    X = np.random.default_rng(0).normal(size=(30, 2))
+    rng = np.random.default_rng(1)
+    for method in ("fixed_gaussian", "bmp"):
+        with pytest.raises(BadParams, match="bandwidth h must be finite and >= 0"):
+            EstimatorConfig(method=method, h=bad).validate()
+    with pytest.raises(BadParams, match="ridge must be finite and >= 0"):
+        EstimatorConfig(method="km_rex", ridge=bad).validate()
+    with pytest.raises(BadParams):
+        synth_fixed_gaussian(X, bad, 10, rng)
+    with pytest.raises(BadParams):
+        synth_bmp(X, 4, bad, 10, rng)
+    with pytest.raises(BadParams):
+        km_fit(X, 2, 3, rng, stall_limit=5, ridge=bad)
 
 
 def test_fixed_and_bmp_reproducible():
@@ -321,12 +341,14 @@ def test_synthesize_matches_reference(case, l):
 def test_chunked_synthesizers_match_reference(case, chunk_size, l):
     cfg, X = case
     engine = {
-        "knn_rex": lambda rng: synth_knn_rex(X, cfg.k, cfg.m, l, rng, chunk_size),
-        "fixed_gaussian": lambda rng: synth_fixed_gaussian(X, cfg.h, l, rng, chunk_size),
-        "bmp": lambda rng: synth_bmp(X, cfg.k, cfg.h, l, rng, chunk_size),
+        "knn_rex": lambda rng: synth_knn_rex(X, cfg.k, cfg.m, l, rng),
+        "fixed_gaussian": lambda rng: synth_fixed_gaussian(X, cfg.h, l, rng),
+        "bmp": lambda rng: synth_bmp(X, cfg.k, cfg.h, l, rng),
     }[cfg.method]
     reference = reference_synthesize(cfg, X, l, np.random.default_rng(cfg.seed), chunk_size)
-    assert same_bits(engine(np.random.default_rng(cfg.seed)), reference)
+    with mock.patch.object(knnrex.estimators, "DEFAULT_CHUNK", chunk_size):
+        got = engine(np.random.default_rng(cfg.seed))
+    assert same_bits(got, reference)
 
 
 @settings(max_examples=300, deadline=None)

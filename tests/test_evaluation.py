@@ -9,6 +9,7 @@ from scipy import stats as scipy_stats
 from knnrex import (
     BadParams,
     DegenerateVariance,
+    DimensionMismatch,
     EmptyData,
     EstimatorConfig,
     TooFewPoints,
@@ -19,6 +20,7 @@ from knnrex import (
     make_binning,
     welch_t,
 )
+from knnrex.evaluation import union_hellinger
 
 
 def dense_hellinger(Y, Z, binning):
@@ -200,6 +202,14 @@ def test_hellinger_empty_errors():
     spec = make_binning(np.array([[0.0], [1.0]]), 2)
     with pytest.raises(EmptyData):
         hellinger(np.empty((0, 1)), np.zeros((3, 1)), spec)
+
+
+def test_union_hellinger_bins_the_union_and_checks_dimensions():
+    rng = np.random.default_rng(4)
+    Y, Z = rng.normal(size=(40, 2)), rng.normal(1.0, 2.0, size=(60, 2))
+    assert union_hellinger(Y, Z, 5) == hellinger(Y, Z, make_binning(np.concatenate([Y, Z]), 5))
+    with pytest.raises(DimensionMismatch):
+        union_hellinger(Y, rng.normal(size=(60, 3)), 5)
 
 
 # ---------------------------------------------------------------------------
