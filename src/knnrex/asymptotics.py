@@ -83,8 +83,8 @@ def check_gradient(model: DensityModel, x: np.ndarray, step: float = 1e-5) -> fl
 def ball_cov_theory(model: DensityModel, x: np.ndarray, delta: float) -> np.ndarray:
     """Closed-form covariance of the density restricted to B(x, delta)."""
     x = np.asarray(x, dtype=np.float64)
-    if delta <= 0:
-        raise BadParams(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:  # also false for NaN
+        raise BadParams(f"delta must be finite and > 0, got {delta}")
     f_x = float(model.density(x[np.newaxis, :])[0])
     if f_x <= 0.0:
         raise ZeroDensity(f"density vanishes at the study point (f = {f_x:g})")
@@ -116,8 +116,8 @@ def _ball_mc_detail(model, x, delta, n_samples, rng):
     the ball; acceptance is proportional to f (bounded by ``model.bound``).
     """
     x = np.asarray(x, dtype=np.float64)
-    if delta <= 0:
-        raise BadParams(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:  # also false for NaN
+        raise BadParams(f"delta must be finite and > 0, got {delta}")
     if n_samples < 1:
         raise BadParams(f"n_samples must be >= 1, got {n_samples}")
     d = model.dim
@@ -201,8 +201,8 @@ def asymptotics_report(
     """
     x = np.asarray(x, dtype=np.float64)
     deltas = [float(t) for t in deltas]
-    if not deltas or any(t <= 0 for t in deltas):
-        raise BadParams("deltas must be positive")
+    if not deltas or not all(0 < t < math.inf for t in deltas):
+        raise BadParams(f"deltas must be finite and > 0, got {deltas}")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise BadParams("deltas must be strictly decreasing")
 

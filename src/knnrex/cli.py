@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import __version__
 from .asymptotics import asymptotics_report, linear_model, uniform_model
 from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
-from .errors import BadSpec, KnnRexError
+from .errors import BadParams, BadSpec, KnnRexError
 from .estimators import EstimatorConfig, synth_bias_corrected, synthesize
 from .evaluation import icv_run, icv_sweep, union_hellinger
 from .knn import build_knn
@@ -45,7 +45,7 @@ SWEPT = {
     "bmp": ("k", "h"),
     "km_rex": ("L", "m"),
 }
-GRID_FLAGS = {name for names in SWEPT.values() for name in names}
+GRID_FLAGS = [name for name in PARAMS if any(name in names for names in SWEPT.values())]
 
 
 class _Phases:
@@ -155,10 +155,10 @@ def cmd_gen_data(args):
     return 0
 
 
-def _resolve_config(args, names=PARAMS):
-    """The validated config of ``--method`` and the flags ``names``; any
-    other field keeps its default."""
-    values = {name: getattr(args, name) for name in names}
+def _resolve_config(args, **values):
+    """The validated config of ``--method`` and its flags; ``values``
+    override the flags of the same name."""
+    values = {name: values.get(name, getattr(args, name)) for name in PARAMS}
     cfg = EstimatorConfig(METHOD_FLAGS[args.method], **values)
     cfg.validate()
     return cfg
@@ -284,12 +284,14 @@ def cmd_icv(args):
 
 def cmd_sweep(args):
     phases = _Phases()
-    base = _resolve_config(args, PARAMS.keys() - GRID_FLAGS)
-    swept = SWEPT[base.method]
-    grid = itertools.product(*(getattr(args, name) for name in swept))
-    cfgs = [replace(base, **dict(zip(swept, point))) for point in grid]
-    for cfg in cfgs:
-        cfg.validate()
+    swept = SWEPT[METHOD_FLAGS[args.method]]
+    axes = {name: getattr(args, name) for name in (*swept, *GRID_FLAGS)}  # swept axes first
+    for name, values in axes.items():
+        if len(values) > 1 and name not in swept:
+            raise BadParams(f"sweep --method {args.method} grids over {', '.join(swept)} only; "
+                            f"--{name} takes one value, got {','.join(map(str, values))}")
+    grid = itertools.product(*axes.values())
+    cfgs = [_resolve_config(args, **dict(zip(axes, point))) for point in grid]
     with phases.measure("read"):
         data = read_points_csv(getattr(args, "in"))
     with phases.measure("evaluation"):
@@ -303,7 +305,7 @@ def cmd_sweep(args):
             f"{report.mean!r} {report.std!r} {report.baseline_mean!r}"
         )
     config = {
-        "method": base.method,
+        "method": cfgs[0].method,
         **{name: ",".join(map(str, getattr(args, name))) for name in GRID_FLAGS},
         "folds": args.folds,
         "bins": args.bins,
@@ -412,7 +414,7 @@ def build_parser():
         _add_param_flag(cor, name)
     cor.add_argument("--round-integers", action="store_true", dest="round_integers")
     cor.add_argument("--marginals", required=True, help="CSV: variable,lo,hi,freq")
-    cor.add_argument("--total", type=int, required=True, help="declared population size")
+    cor.add_argument("--total", type=_int_at_least(1), required=True, help="population size")
     cor.add_argument("--in", required=True)
     cor.add_argument("--out", required=True)
     cor.set_defaults(func=cmd_synthesize_corrected)

@@ -18,9 +18,9 @@ and ``suggest_params``, the optimization-free parameter rule.
 
 ``synthesize(cfg, X, l, rng, index=None)`` is the only code that maps an
 ``EstimatorConfig`` to its synthesizer; the CLI and inverted cross-validation
-call it. The k-NN REX and Gaussian synthesizers share one chunk loop: chunk
-i of ``DEFAULT_CHUNK`` points draws only from the i-th child stream spawned
-from the caller's generator, so a seed pins the output exactly.
+call it. Every method of ``synthesize`` shares one chunk loop: chunk i of
+``DEFAULT_CHUNK`` points draws only from the i-th child stream spawned from
+the caller's generator, so a seed pins the output exactly.
 """
 
 import math
@@ -38,7 +38,7 @@ from .errors import (
     SingularSigma,
     StallLimit,
 )
-from .kernels import kcs_stats, rex_batch, rex_log_density, rex_sample, rex_samples
+from .kernels import kcs_stats, rex_batch, rex_log_density, rex_sample
 from .knn import build_knn, query_neighbors
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
@@ -69,6 +69,13 @@ def _check_rex(k: int, m: int) -> None:
         raise BadParams(f"need 1 <= m <= k+1, got m = {m}, k = {k}")
 
 
+def _check_km(L: int, stall_limit: int) -> None:
+    if L < 1:
+        raise BadParams(f"need L >= 1, got {L}")
+    if stall_limit < 1:
+        raise BadParams(f"need stall_limit >= 1, got {stall_limit}")
+
+
 def _check_scale(name: str, value: float) -> None:
     if not 0 <= value < math.inf:  # also false for NaN
         raise BadParams(f"{name} must be finite and >= 0, got {value}")
@@ -85,7 +92,6 @@ class EstimatorConfig:
     L: int = 10
     seed: int = 0
     stall_limit: int = 10_000
-    ridge: float = 0.0
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -95,9 +101,7 @@ class EstimatorConfig:
         if self.method in ("fixed_gaussian", "bmp"):
             _check_scale("bandwidth h", self.h)
         if self.method == "km_rex":
-            if self.L < 1:
-                raise BadParams(f"need L >= 1, got {self.L}")
-            _check_scale("ridge", self.ridge)
+            _check_km(self.L, self.stall_limit)
 
     @property
     def uses_index(self) -> bool:
@@ -128,7 +132,7 @@ def synthesize(
         return synth_fixed_gaussian(X_w, cfg.h, l, rng)
     if cfg.method == "bmp":
         return synth_bmp(X_w, cfg.k, cfg.h, l, rng, index=index)
-    model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit, ridge=cfg.ridge)
+    model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
     return km_synth(model, X_w, l, rng)
 
 
@@ -487,27 +491,27 @@ class KmModel:
     history: list = field(default_factory=list)  # initial + accepted logliks
 
 
-def km_loglik(X: np.ndarray, kcss: np.ndarray, ridge: float = 0.0) -> float:
+def km_loglik(X: np.ndarray, kcss: np.ndarray) -> float:
     """Training log-likelihood of the mixture, recomputed from scratch."""
     X = np.asarray(X, dtype=np.float64)
-    cols = [_kcs_column(X, X[ids], ridge) for ids in kcss]
+    cols = [_kcs_column(X, X[ids]) for ids in kcss]
     log_mix = np.logaddexp.reduce(np.stack(cols, axis=1), axis=1) - math.log(len(kcss))
     return float(log_mix.sum())
 
 
-def _kcs_column(X, kcs_points, ridge):
+def _kcs_column(X, kcs_points):
     # Trace-scaled fallback ridge for finite-precision near-singularity;
     # m >= d+1 makes the covariance generically nonsingular. A KCS whose
     # members all coincide has trace 0 and no density: its log-density is
     # -inf everywhere, so a move to it never raises the likelihood.
     try:
-        return rex_log_density(X, kcs_points, ridge=ridge)
+        return rex_log_density(X, kcs_points)
     except SingularSigma:
         stats = kcs_stats(kcs_points)
         bump = 1e-9 * float(np.trace(stats.sigma)) / kcs_points.shape[1]
         if bump <= 0.0:
             return np.full(X.shape[0], -np.inf)
-        return rex_log_density(X, kcs_points, ridge=ridge + bump)
+        return rex_log_density(X, kcs_points, ridge=bump)
 
 
 def km_fit(
@@ -516,7 +520,6 @@ def km_fit(
     m: int,
     rng: np.random.Generator,
     stall_limit: int = 10_000,
-    ridge: float = 0.0,
 ) -> KmModel:
     """Hill-climb the choice of L kernel construction sets of size m.
 
@@ -529,14 +532,12 @@ def km_fit(
     n, d = X.shape
     if m < d + 1:
         raise BadParams(f"need m >= d+1 = {d + 1} for an evaluable density, got m = {m}")
-    if L < 1:
-        raise BadParams(f"need L >= 1, got {L}")
-    _check_scale("ridge", ridge)
+    _check_km(L, stall_limit)
     if n < m:
         raise BadParams(f"need n >= m, got n = {n}, m = {m}")
 
     kcss = np.stack([rng.permutation(n)[:m] for _ in range(L)])
-    log_kernel = np.stack([_kcs_column(X, X[ids], ridge) for ids in kcss], axis=1)
+    log_kernel = np.stack([_kcs_column(X, X[ids]) for ids in kcss], axis=1)
     log_l = math.log(L)
 
     def total(matrix):
@@ -551,7 +552,7 @@ def km_fit(
         iterations += 1
         j = int(rng.integers(L))
         candidate = rng.permutation(n)[:m]
-        new_col = _kcs_column(X, X[candidate], ridge)
+        new_col = _kcs_column(X, X[candidate])
         old_col = log_kernel[:, j].copy()
         log_kernel[:, j] = new_col
         new_loglik = total(log_kernel)
@@ -577,13 +578,10 @@ def km_synth(
 ) -> np.ndarray:
     """Draw l points: choose one of the L sets uniformly, then one REX draw."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty((l, X.shape[1]))
-    if l == 0:
-        return out
-    assignment = rng.integers(0, model.kcss.shape[0], size=l)
-    for j, ids in enumerate(model.kcss):
-        mask = assignment == j
-        count = int(mask.sum())
-        if count:
-            out[mask] = rex_samples(X[ids], count, rng)
-    return out
+    L = model.kcss.shape[0]
+
+    def draw(size, crng):
+        choice = crng.integers(0, L, size=size)
+        return rex_batch(X[model.kcss[choice]], crng)
+
+    return _chunked(l, X.shape[1], rng, draw)

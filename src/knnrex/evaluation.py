@@ -103,7 +103,7 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
     cz = np.bincount(inverse[Y.shape[0] :], minlength=n_bins)
     py = np.sqrt(cy / Y.shape[0])
     pz = np.sqrt(cz / Z.shape[0])
-    return float(np.sqrt(0.5 * np.sum((py - pz) ** 2)))
+    return min(1.0, float(np.sqrt(0.5 * np.sum((py - pz) ** 2))))  # rounding can pass 1
 
 
 def union_hellinger(Y: np.ndarray, Z: np.ndarray, bins_per_dim: int) -> float:

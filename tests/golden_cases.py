@@ -4,12 +4,14 @@ Each case prepares its inputs inside a working directory (via more CLI
 calls, so everything is seed-deterministic), runs one artifact-writing
 command, and lists the artifacts to compare. Timing lines (``time_`` keys)
 are stripped before comparison; everything else must match byte for byte.
-Regenerate the committed files with ``python3 tests/golden_cases.py``.
+Regenerate the committed files with ``python3 tests/golden_cases.py [CASE ...]``:
+only the named cases, or all of them when none is named.
 """
 
 import os
 import pathlib
 import shutil
+import sys
 
 from knnrex.cli import main as cli_main
 
@@ -137,10 +139,14 @@ def run_case(case, workdir):
         os.chdir(cwd)
 
 
-def regenerate():
+def regenerate(names):
     import tempfile
 
-    for name, case in CASES.items():
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(CASES)}")
+    for name in names or CASES:
+        case = CASES[name]
         with tempfile.TemporaryDirectory() as workdir:
             run_case(case, workdir)
             target = GOLDEN_DIR / name
@@ -151,4 +157,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -147,3 +147,14 @@ def test_report_validates_deltas():
         asymptotics_report(uniform_model(1), np.zeros(1), [0.1, 0.2], 1000, np.random.default_rng(0))
     with pytest.raises(BadParams):
         asymptotics_report(uniform_model(1), np.zeros(1), [], 1000, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1])
+def test_delta_must_be_finite_and_positive(bad):
+    model, x, rng = uniform_model(2), np.zeros(2), np.random.default_rng(0)
+    with pytest.raises(BadParams, match="must be finite and > 0"):
+        ball_cov_theory(model, x, bad)
+    with pytest.raises(BadParams, match="must be finite and > 0"):
+        ball_cov_mc(model, x, bad, 1000, rng)
+    with pytest.raises(BadParams, match="must be finite and > 0"):
+        asymptotics_report(model, x, [0.2, bad], 1000, rng)

@@ -250,14 +250,14 @@ MALFORMED = [
      "BadParams: bandwidth h must be finite and >= 0, got nan"),
     (["synthesize", "--method", "bmp", "--h", "inf", "--l", "5", "--in", "{ring}"], 1,
      "BadParams: bandwidth h must be finite and >= 0, got inf"),
-    (["synthesize", "--method", "km", "--ridge", "nan", "--l", "5", "--in", "{ring}"], 1,
-     "BadParams: ridge must be finite and >= 0, got nan"),
-    (["synthesize", "--method", "km", "--ridge", "-1", "--l", "5", "--in", "{ring}"], 1,
-     "BadParams: ridge must be finite and >= 0, got -1.0"),
+    (["synthesize", "--method", "km", "--ridge", "1", "--l", "5", "--in", "{ring}"], 2,
+     "unrecognized arguments: --ridge 1"),
+    (["synthesize", "--method", "km", "--stall-limit", "0", "--l", "5", "--in", "{ring}"], 1,
+     "BadParams: need stall_limit >= 1, got 0"),
     (["icv", "--method", "fixed", "--h", "nan", "--folds", "2", "--in", "{missing}"], 1,
      "BadParams: bandwidth h"),
-    (["sweep", "--method", "km", "--ridge", "nan", "--folds", "2", "--in", "{missing}"], 1,
-     "BadParams: ridge"),
+    (["synthesize", "--method", "km", "--stall-limit", "-5", "--l", "5", "--in", "{ring}"], 1,
+     "BadParams: need stall_limit >= 1, got -5"),
     (["sweep", "--method", "bmp", "--k", "3", "--h", "0.1,inf", "--folds", "2",
       "--in", "{missing}"], 1, "BadParams: bandwidth h"),
     (["evaluate", "--a", "{ring}", "--b", "{swiss}"], 1, "DimensionMismatch"),
@@ -270,6 +270,17 @@ MALFORMED = [
     (["validate-asymptotics", "--dim", "0", "--samples", "100"], 2, "--dim: must be >= 1, got 0"),
     (["validate-asymptotics", "--dim", "-1", "--samples", "100"], 2,
      "--dim: must be >= 1, got -1"),
+    (["sweep", "--method", "knn-rex", "--k", "5", "--h", "7,8", "--folds", "2",
+      "--in", "{missing}"], 1,
+     "BadParams: sweep --method knn-rex grids over k, m only; --h takes one value, got 7.0,8.0"),
+    (["sweep", "--method", "fixed", "--k", "5,6", "--folds", "2", "--in", "{missing}"], 1,
+     "BadParams: sweep --method fixed grids over h only; --k takes one value, got 5,6"),
+    (["synthesize-corrected", "--marginals", "{missing}", "--total", "0", "--in", "{ring}"], 2,
+     "--total: must be >= 1, got 0"),
+    (["validate-asymptotics", "--deltas", "nan", "--samples", "100"], 1,
+     "BadParams: deltas must be finite and > 0, got [nan]"),
+    (["validate-asymptotics", "--deltas", "0.2,inf", "--samples", "100"], 1,
+     "BadParams: deltas must be finite and > 0, got [0.2, inf]"),
 ]
 
 
@@ -310,3 +321,24 @@ def test_bare_parse_resolves_to_config_defaults(command):
         assert getattr(args, field.name) == expected
     if command != "sweep":
         assert _resolve_config(args) == defaults
+
+
+def test_sweep_runs_and_echoes_an_unswept_flag(tmp_path):
+    data = str(tmp_path / "data.csv")
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "40", "--seed", "2", "--out", data]) == 0
+    out = tmp_path / "sweep.txt"
+    assert run_cli(["sweep", "--method", "knn-rex", "--k", "5", "--m", "2,3", "--h", "7",
+                    "--folds", "2", "--bins", "4", "--in", data, "--out", str(out)]) == 0
+    table, manifest = out.read_text().split("[manifest]")
+    rows = table.splitlines()[2:]
+    assert [row.split()[1:5] for row in rows] == [["5", "2", "7.0", "10"], ["5", "3", "7.0", "10"]]
+    assert "\nh: 7.0\n" in manifest and "\nk: 5\n" in manifest and "\nm: 2,3\n" in manifest
+
+
+def test_golden_regeneration_refuses_unknown_cases():
+    script = pathlib.Path(__file__).parent / "golden_cases.py"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(knnrex.__file__).parents[1]))
+    run = subprocess.run([sys.executable, str(script), "sweep", "no_such_case"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode != 0
+    assert "unknown case(s) no_such_case" in run.stderr

@@ -181,14 +181,19 @@ def test_non_finite_or_negative_scales_rejected(bad):
     for method in ("fixed_gaussian", "bmp"):
         with pytest.raises(BadParams, match="bandwidth h must be finite and >= 0"):
             EstimatorConfig(method=method, h=bad).validate()
-    with pytest.raises(BadParams, match="ridge must be finite and >= 0"):
-        EstimatorConfig(method="km_rex", ridge=bad).validate()
     with pytest.raises(BadParams):
         synth_fixed_gaussian(X, bad, 10, rng)
     with pytest.raises(BadParams):
         synth_bmp(X, 4, bad, 10, rng)
-    with pytest.raises(BadParams):
-        km_fit(X, 2, 3, rng, stall_limit=5, ridge=bad)
+
+
+@pytest.mark.parametrize("L, stall_limit", [(0, 5), (-1, 5), (2, 0), (2, -5)])
+def test_km_needs_positive_L_and_stall_limit(L, stall_limit):
+    X = np.random.default_rng(0).normal(size=(30, 2))
+    with pytest.raises(BadParams, match="need (L|stall_limit) >= 1"):
+        EstimatorConfig(method="km_rex", L=L, stall_limit=stall_limit).validate()
+    with pytest.raises(BadParams, match="need (L|stall_limit) >= 1"):
+        km_fit(X, L, 3, np.random.default_rng(1), stall_limit=stall_limit)
 
 
 def test_fixed_and_bmp_reproducible():
@@ -205,8 +210,9 @@ def test_fixed_and_bmp_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# The synthesizers as written before they shared one engine, kept as oracles:
-# the engine must reproduce them bit for bit at every chunk size.
+# The synthesizers as written before they shared one engine, kept as oracles,
+# and km's draw written out to the same chunk contract: the engine must
+# reproduce them bit for bit at every chunk size.
 # ---------------------------------------------------------------------------
 
 
@@ -275,6 +281,24 @@ def reference_bmp(X, k, h, l, rng, chunk_size=DEFAULT_CHUNK):
     return out
 
 
+def reference_km_synth(model, X, l, rng, chunk_size=DEFAULT_CHUNK):
+    d = X.shape[1]
+    out = np.empty((l, d))
+    if l == 0:
+        return out
+    L, m = model.kcss.shape
+    scale = math.sqrt(1.0 / m)
+    streams = rng.spawn(len(range(0, l, chunk_size)))
+    for (start, stop), crng in zip(_chunks(l, chunk_size), streams):
+        size = stop - start
+        choice = crng.integers(0, L, size=size)
+        kcs = X[model.kcss[choice]]
+        mu = kcs.mean(axis=1)
+        eps = crng.standard_normal((size, m)) * scale
+        out[start:stop] = mu + np.einsum("sm,smd->sd", eps, kcs - mu[:, np.newaxis, :])
+    return out
+
+
 def reference_rex_sample(kcs, rng):
     m = kcs.shape[0]
     eps = rng.standard_normal(m) * math.sqrt(1.0 / m)
@@ -289,23 +313,20 @@ def reference_synthesize(cfg, X, l, rng, chunk_size=DEFAULT_CHUNK):
         return reference_fixed_gaussian(X, cfg.h, l, rng, chunk_size)
     if cfg.method == "bmp":
         return reference_bmp(X, cfg.k, cfg.h, l, rng, chunk_size)
-    model = km_fit(X, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit, ridge=cfg.ridge)
-    return km_synth(model, X, l, rng)
+    model = km_fit(X, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
+    return reference_km_synth(model, X, l, rng, chunk_size)
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-CHUNKED = ("knn_rex", "fixed_gaussian", "bmp")
-
-
 @st.composite
-def _synthesis_case(draw, methods=METHODS):
+def _synthesis_case(draw):
     """A method with parameters valid for a small sample, covering m = 1, 2,
     k+1 and one in between, k = 0, and duplicated points (coarse rounding;
     not for km, whose density needs nonsingular KCSs)."""
-    method = draw(st.sampled_from(methods))
+    method = draw(st.sampled_from(METHODS))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(d + 2, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -337,13 +358,16 @@ def test_synthesize_matches_reference(case, l):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_synthesis_case(methods=CHUNKED), st.integers(1, 40), st.integers(0, 200))
+@given(_synthesis_case(), st.integers(1, 40), st.integers(0, 200))
 def test_chunked_synthesizers_match_reference(case, chunk_size, l):
     cfg, X = case
     engine = {
         "knn_rex": lambda rng: synth_knn_rex(X, cfg.k, cfg.m, l, rng),
         "fixed_gaussian": lambda rng: synth_fixed_gaussian(X, cfg.h, l, rng),
         "bmp": lambda rng: synth_bmp(X, cfg.k, cfg.h, l, rng),
+        "km_rex": lambda rng: km_synth(
+            km_fit(X, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit), X, l, rng
+        ),
     }[cfg.method]
     reference = reference_synthesize(cfg, X, l, np.random.default_rng(cfg.seed), chunk_size)
     with mock.patch.object(knnrex.estimators, "DEFAULT_CHUNK", chunk_size):

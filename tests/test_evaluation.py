@@ -41,7 +41,8 @@ def dense_hellinger(Y, Z, binning):
 
 
 def row_unique_hellinger(Y, Z, binning):
-    """Oracle: the former implementation, a row-wise unique over index tuples."""
+    """Oracle: the former implementation, a row-wise unique over index tuples,
+    with the same clamp at 1."""
     iy = binning.assign(Y)
     iz = binning.assign(Z)
     both = np.concatenate([iy, iz], axis=0)
@@ -51,7 +52,7 @@ def row_unique_hellinger(Y, Z, binning):
     cz = np.bincount(inverse[iy.shape[0] :], minlength=n_bins)
     py = np.sqrt(cy / Y.shape[0])
     pz = np.sqrt(cz / Z.shape[0])
-    return float(np.sqrt(0.5 * np.sum((py - pz) ** 2)))
+    return min(1.0, float(np.sqrt(0.5 * np.sum((py - pz) ** 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,16 @@ def _hellinger_case(draw):
 def test_hellinger_bit_identical_to_row_unique(case):
     Y, Z, spec = case
     assert hellinger(Y, Z, spec) == row_unique_hellinger(Y, Z, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hellinger_case())
+def test_hellinger_bounded_symmetric_and_zero_on_itself(case):
+    Y, Z, spec = case
+    h = hellinger(Y, Z, spec)
+    assert 0.0 <= h <= 1.0
+    assert hellinger(Z, Y, spec) == h
+    assert hellinger(Y, Y, spec) == 0.0
 
 
 def test_hellinger_bit_identical_when_keys_compact():

@@ -64,7 +64,7 @@ def test_bad_params():
 
 def test_synth_degenerate_kcs():
     X = np.tile([[1.5, -2.0]], (5, 1))
-    model = km_fit(X, L=1, m=3, rng=np.random.default_rng(0), stall_limit=5, ridge=1e-9)
+    model = km_fit(X, L=1, m=3, rng=np.random.default_rng(0), stall_limit=5)
     out = km_synth(model, X, 20, np.random.default_rng(1))
     assert np.allclose(out, [1.5, -2.0])
 

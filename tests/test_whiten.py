@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnrex import (
     DimensionMismatch,
@@ -88,3 +90,29 @@ def test_dimension_mismatch():
         whiten_apply(t, np.zeros((5, 2)))
     with pytest.raises(DimensionMismatch):
         whiten_invert(t, np.zeros((5, 4)))
+
+
+@st.composite
+def _full_rank_sample(draw):
+    """A correlated, shifted and scaled Gaussian sample of full rank."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(d + 1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mix = rng.normal(size=(d, d)) + 3.0 * np.eye(d)
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return scale * (rng.normal(size=(n, d)) @ mix + rng.normal(scale=5.0, size=d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_full_rank_sample())
+def test_whitening_round_trip_and_moments(X):
+    t = whiten_fit(X)
+    Xw = whiten_apply(t, X)
+    assert np.abs(whiten_invert(t, Xw) - X).max() < 1e-8 * max(1.0, np.abs(X).max())
+    # Rounding in the whitened moments grows with the condition number of
+    # the sample covariance, which n = d+1 points can push near 1e12.
+    centered = X - X.mean(axis=0)
+    tol = 1e-9 + 1e-14 * np.linalg.cond(centered.T @ centered)
+    assert np.abs(Xw.mean(axis=0)).max() < tol
+    cov = Xw.T @ Xw / len(Xw)
+    assert np.abs(cov - np.eye(X.shape[1])).max() < tol
