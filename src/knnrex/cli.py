@@ -1,10 +1,10 @@
 """Command-line surface: data generation, synthesis, evaluation, sweeps.
 
-Every artifact-writing subcommand drops a ``<out>.manifest.txt`` sidecar
-echoing the resolved configuration and per-phase wall-clock timings, and
-text reports embed the same manifest block. Timing lines carry a ``time_``
-key prefix; everything else in a report is byte-reproducible given the
-same inputs and seed.
+Every artifact-writing subcommand drops a ``<out>.manifest.txt`` sidecar,
+and text reports end in the same manifest block. The manifest echoes the
+subcommand and every flag that holds a value, then per-phase wall-clock
+timings. Timing lines carry a ``time_`` key prefix; everything else in a
+report is byte-reproducible given the same inputs and seed.
 """
 
 import argparse
@@ -67,29 +67,39 @@ class _Phases:
         return time.perf_counter() - self._t0
 
 
-def _manifest_lines(subcommand, config, phases=None):
-    lines = [f"subcommand: {subcommand}"]
-    for key in sorted(config):
-        lines.append(f"{key}: {config[key]}")
-    if phases is not None:
-        for name in sorted(phases.seconds):
-            lines.append(f"time_{name}: {phases.seconds[name]:.6f}")
-        lines.append(f"time_total: {phases.total():.6f}")
+def _manifest_lines(args, phases):
+    """``subcommand``, then every parsed flag that holds a value, sorted by
+    dest name, then the phase timings."""
+    lines = [f"subcommand: {args.subcommand}"]
+    for key, value in sorted(vars(args).items()):
+        if key in ("func", "subcommand") or value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        elif key == "method":
+            value = METHOD_FLAGS.get(value, value)
+        lines.append(f"{key}: {value}")
+    for name in sorted(phases.seconds):
+        lines.append(f"time_{name}: {phases.seconds[name]:.6f}")
+    lines.append(f"time_total: {phases.total():.6f}")
     return lines
 
 
-def _write_manifest(out_path, lines):
-    with open(f"{out_path}.manifest.txt", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def _emit_report(args, sections):
-    text = "\n".join("\n".join(block) for block in sections) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write_output(args, phases, sections):
+    """An artifact command (``sections`` is None) gets the manifest in its
+    ``<out>.manifest.txt`` sidecar; a report ends in a ``[manifest]`` block
+    and goes to ``--out``, or to stdout without one."""
+    manifest = _manifest_lines(args, phases)
+    if sections is None:
+        path, blocks = f"{args.out}.manifest.txt", [manifest]
     else:
+        path, blocks = args.out, [*sections, ["[manifest]", *manifest]]
+    text = "\n".join("\n".join(block) for block in blocks) + "\n"
+    if path is None:
         sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _int_at_least(lo):
@@ -122,12 +132,12 @@ def _comma_list(parse):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes (args, phases) and either writes its artifact and
+# returns None or returns its report sections; main writes the manifest.
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args):
-    phases = _Phases()
+def cmd_gen_data(args, phases):
     rng = np.random.default_rng(args.seed)
     with phases.measure("generate"):
         if args.dataset == "swissroll":
@@ -150,9 +160,6 @@ def cmd_gen_data(args):
             values = gen_gmm(spec, args.n, rng)
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(values, default_columns(values.shape[1])))
-    config = {"dataset": args.dataset, "n": args.n, "seed": args.seed, "out": args.out}
-    _write_manifest(args.out, _manifest_lines("gen-data", config, phases))
-    return 0
 
 
 def _resolve_config(args, **values):
@@ -164,8 +171,7 @@ def _resolve_config(args, **values):
     return cfg
 
 
-def cmd_synthesize(args):
-    phases = _Phases()
+def cmd_synthesize(args, phases):
     cfg = _resolve_config(args)
     rng = np.random.default_rng(cfg.seed)
     with phases.measure("read"):
@@ -181,13 +187,9 @@ def cmd_synthesize(args):
         synth = whiten_invert(transform, synthesize(cfg, train_w, args.l, rng, index=index))
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))
-    config = dict(cfg.echo(), l=args.l, **{"in": getattr(args, "in"), "out": args.out})
-    _write_manifest(args.out, _manifest_lines("synthesize", config, phases))
-    return 0
 
 
-def cmd_synthesize_corrected(args):
-    phases = _Phases()
+def cmd_synthesize_corrected(args, phases):
     rng = np.random.default_rng(args.seed)
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
@@ -204,44 +206,36 @@ def cmd_synthesize_corrected(args):
         )
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))
-    config = {
-        "method": "knn_rex_corrected",
-        "k": args.k,
-        "m": args.m,
-        "seed": args.seed,
-        "round_integers": args.round_integers,
-        "total": args.total,
-        "marginals": args.marginals,
-        "in": getattr(args, "in"),
-        "out": args.out,
-    }
-    _write_manifest(args.out, _manifest_lines("synthesize-corrected", config, phases))
-    return 0
 
 
-def cmd_evaluate(args):
-    phases = _Phases()
+def cmd_evaluate(args, phases):
     with phases.measure("read"):
         a = read_points_csv(args.a)
         b = read_points_csv(args.b)
     with phases.measure("evaluation"):
         distance = union_hellinger(a.values, b.values, args.bins)
-    config = {"a": args.a, "b": args.b, "bins": args.bins}
-    sections = [
-        [
-            "[results]",
-            f"hellinger: {distance!r}",
-            f"n_a: {a.n}",
-            f"n_b: {b.n}",
-            f"bins_per_dim: {args.bins}",
-        ],
-        ["[manifest]"] + _manifest_lines("evaluate", config, phases),
+    results = [
+        "[results]",
+        f"hellinger: {distance!r}",
+        f"n_a: {a.n}",
+        f"n_b: {b.n}",
+        f"bins_per_dim: {args.bins}",
     ]
-    _emit_report(args, sections)
-    return 0
+    return [results]
 
 
-def _icv_sections(report, subcommand, config, phases):
+def cmd_icv(args, phases):
+    cfg = _resolve_config(args)
+    with phases.measure("read"):
+        data = read_points_csv(getattr(args, "in"))
+    with phases.measure("evaluation"):
+        report = icv_run(
+            data.values,
+            cfg,
+            folds=args.folds,
+            bins_per_dim=args.bins,
+            threads=args.threads,
+        )
     results = [
         "[results]",
         f"mean: {report.mean!r}",
@@ -259,31 +253,10 @@ def _icv_sections(report, subcommand, config, phases):
     for i, (score, base) in enumerate(scores):
         table.append(f"{i:03d} {score!r} {base!r}")
     timing = ["[timing]", "time_fold_seconds: " + " ".join(f"{s:.6f}" for s in report.fold_seconds)]
-    manifest = ["[manifest]"] + _manifest_lines(subcommand, config, phases)
-    return [results, table, timing, manifest]
+    return [results, table, timing]
 
 
-def cmd_icv(args):
-    phases = _Phases()
-    cfg = _resolve_config(args)
-    with phases.measure("read"):
-        data = read_points_csv(getattr(args, "in"))
-    with phases.measure("evaluation"):
-        report = icv_run(
-            data.values,
-            cfg,
-            folds=args.folds,
-            bins_per_dim=args.bins,
-            threads=args.threads,
-        )
-    config = dict(cfg.echo(), folds=args.folds, bins=args.bins, threads=args.threads)
-    config["in"] = getattr(args, "in")
-    _emit_report(args, _icv_sections(report, "icv", config, phases))
-    return 0
-
-
-def cmd_sweep(args):
-    phases = _Phases()
+def cmd_sweep(args, phases):
     swept = SWEPT[METHOD_FLAGS[args.method]]
     axes = {name: getattr(args, name) for name in (*swept, *GRID_FLAGS)}  # swept axes first
     for name, values in axes.items():
@@ -304,20 +277,10 @@ def cmd_sweep(args):
             f"{cfg.method} {cfg.k} {cfg.m} {cfg.h!r} {cfg.L} "
             f"{report.mean!r} {report.std!r} {report.baseline_mean!r}"
         )
-    config = {
-        "method": cfgs[0].method,
-        **{name: ",".join(map(str, getattr(args, name))) for name in GRID_FLAGS},
-        "folds": args.folds,
-        "bins": args.bins,
-        "seed": args.seed,
-        "in": getattr(args, "in"),
-    }
-    _emit_report(args, [table, ["[manifest]"] + _manifest_lines("sweep", config, phases)])
-    return 0
+    return [table]
 
 
-def cmd_validate_asymptotics(args):
-    phases = _Phases()
+def cmd_validate_asymptotics(args, phases):
     rng = np.random.default_rng(args.seed)
     if args.density == "uniform":
         model = uniform_model(args.dim)
@@ -347,16 +310,7 @@ def cmd_validate_asymptotics(args):
     lines.append(
         "second_term_ratios: " + " ".join(f"{r!r}" for r in report.second_term_ratios())
     )
-    config = {
-        "density": args.density,
-        "dim": args.dim,
-        "slope": args.slope,
-        "deltas": ",".join(map(str, args.deltas)),
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    _emit_report(args, [lines, ["[manifest]"] + _manifest_lines("validate-asymptotics", config, phases)])
-    return 0
+    return [lines]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +371,7 @@ def build_parser():
     cor.add_argument("--total", type=_int_at_least(1), required=True, help="population size")
     cor.add_argument("--in", required=True)
     cor.add_argument("--out", required=True)
-    cor.set_defaults(func=cmd_synthesize_corrected)
+    cor.set_defaults(func=cmd_synthesize_corrected, method="knn_rex_corrected")
 
     ev = subs.add_parser("evaluate", help="binned Hellinger distance between two CSVs")
     ev.add_argument("--a", required=True)
@@ -426,23 +380,18 @@ def build_parser():
     ev.add_argument("--out")
     ev.set_defaults(func=cmd_evaluate)
 
-    icv = subs.add_parser("icv", help="inverted cross-validation of one method")
-    _add_method_flags(icv)
-    icv.add_argument("--folds", type=int, default=100)
-    icv.add_argument("--bins", type=int, default=10)
-    icv.add_argument("--threads", type=_int_at_least(1), default=1)
-    icv.add_argument("--in", required=True)
-    icv.add_argument("--out")
-    icv.set_defaults(func=cmd_icv)
-
-    sw = subs.add_parser("sweep", help="parameter grid of inverted cross-validations")
-    _add_method_flags(sw, lists=GRID_FLAGS)
-    sw.add_argument("--folds", type=int, default=100)
-    sw.add_argument("--bins", type=int, default=10)
-    sw.add_argument("--threads", type=_int_at_least(1), default=1)
-    sw.add_argument("--in", required=True)
-    sw.add_argument("--out")
-    sw.set_defaults(func=cmd_sweep)
+    for name, func, lists, summary in (
+        ("icv", cmd_icv, (), "inverted cross-validation of one method"),
+        ("sweep", cmd_sweep, GRID_FLAGS, "parameter grid of inverted cross-validations"),
+    ):
+        sub = subs.add_parser(name, help=summary)
+        _add_method_flags(sub, lists=lists)
+        sub.add_argument("--folds", type=int, default=100)
+        sub.add_argument("--bins", type=int, default=10)
+        sub.add_argument("--threads", type=_int_at_least(1), default=1)
+        sub.add_argument("--in", required=True)
+        sub.add_argument("--out")
+        sub.set_defaults(func=func)
 
     va = subs.add_parser("validate-asymptotics", help="small-ball covariance: theory vs Monte Carlo")
     va.add_argument("--density", choices=["uniform", "linear"], default="uniform")
@@ -458,16 +407,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    phases = _Phases()
     try:
-        return args.func(args)
+        _write_output(args, phases, args.func(args, phases))
     except KnnRexError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -68,9 +68,8 @@ def read_points_csv(path) -> PointSet:
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
+    if not np.isfinite(values).all():
+        row = int(np.argmin(np.isfinite(values).all(axis=1)))
         lineno = row + 2
         for blank in blank_lines:  # skipped blank lines shift the data rows down
             if blank <= lineno:

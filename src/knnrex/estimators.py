@@ -55,9 +55,8 @@ def _sample(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise EmptySample("training sample is empty")
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise NonFiniteSample(f"training sample row {row} is not finite: {X[row].tolist()!r}")
     return X
 
@@ -250,7 +249,7 @@ class MarginalSpec:
     """Per-variable bin edges with target frequencies.
 
     Bins are left-closed right-open, with the last bin right-closed. Edges
-    must be strictly increasing and contiguous per variable, and each
+    must be finite, strictly increasing and contiguous per variable, and each
     variable's frequencies must sum to the declared population size.
     """
 
@@ -277,6 +276,8 @@ class MarginalSpec:
                 raise BadSpec(f"variable {name!r}: need at least one bin")
             if not np.all(np.diff(edges) > 0):
                 raise BadSpec(f"variable {name!r}: bin edges must be strictly increasing")
+            if not np.isfinite(edges).all():
+                raise BadSpec(f"variable {name!r}: bin edges must be finite, got {edges.tolist()}")
             if freqs.size != edges.size - 1:
                 raise BadSpec(f"variable {name!r}: {freqs.size} frequencies for {edges.size - 1} bins")
             if np.any(freqs < 0):

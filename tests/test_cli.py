@@ -33,6 +33,19 @@ def test_golden(name, tmp_path):
         assert produced == expected, f"{name}/{artifact} drifted from the golden copy"
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_manifest_echoes_every_flag(name):
+    # subcommand, then every flag the parser set except None, sorted by dest
+    case = CASES[name]
+    args = vars(build_parser().parse_args(case["command"]))
+    flags = sorted(k for k, v in args.items() if v is not None and k not in ("func", "subcommand"))
+    [report] = [a for a in case["artifacts"] if not a.endswith(".csv")]
+    manifest = (GOLDEN_DIR / name / report).read_text().split("[manifest]\n")[-1]
+    keys = [line.split(": ", 1)[0] for line in manifest.splitlines()]
+    assert keys[: len(flags) + 1] == ["subcommand", *flags]
+    assert all(key.startswith("time_") for key in keys[len(flags) + 1 :])
+
+
 def test_synthesize_byte_identical_reruns(tmp_path):
     case = CASES["synthesize_knn_rex"]
     run_case(case, tmp_path)
@@ -244,7 +257,9 @@ def test_sweep_scores_the_copying_baseline_once(tmp_path, monkeypatch):
 
 # Malformed invocations: (argv, exit code, stderr fragment). {ring} is a 2-D
 # and {swiss} a 3-D point set; {missing} does not exist, so a diagnostic about
-# the flags shows they are checked before any input is read.
+# the flags shows they are checked before any input is read. {inf_hi} and
+# {inf_lo} are marginals whose outer x1 bin, holding no ring point, runs to
+# +inf or from -inf.
 MALFORMED = [
     (["synthesize", "--method", "fixed", "--h", "nan", "--l", "5", "--in", "{ring}"], 1,
      "BadParams: bandwidth h must be finite and >= 0, got nan"),
@@ -281,16 +296,23 @@ MALFORMED = [
      "BadParams: deltas must be finite and > 0, got [nan]"),
     (["validate-asymptotics", "--deltas", "0.2,inf", "--samples", "100"], 1,
      "BadParams: deltas must be finite and > 0, got [0.2, inf]"),
+    (["synthesize-corrected", "--m", "1", "--marginals", "{inf_hi}", "--total", "10",
+      "--in", "{ring}"], 1, "BadSpec: variable 'x1': bin edges must be finite"),
+    (["synthesize-corrected", "--m", "1", "--marginals", "{inf_lo}", "--total", "10",
+      "--in", "{ring}"], 1, "BadSpec: variable 'x1': bin edges must be finite"),
 ]
 
 
 @pytest.fixture(scope="module")
 def point_sets(tmp_path_factory):
     root = tmp_path_factory.mktemp("points")
-    paths = {"ring": root / "ring.csv", "swiss": root / "swiss.csv", "missing": root / "no.csv"}
+    paths = {"ring": root / "ring.csv", "swiss": root / "swiss.csv", "missing": root / "no.csv",
+             "inf_hi": root / "inf_hi.csv", "inf_lo": root / "inf_lo.csv"}
     for dataset, name in (("ring", "ring"), ("swissroll", "swiss")):
         assert run_cli(["gen-data", "--dataset", dataset, "--n", "40", "--seed", "0",
                         "--out", str(paths[name])]) == 0
+    paths["inf_hi"].write_text("variable,lo,hi,freq\nx1,-5,5,0\nx1,5,inf,10\n")
+    paths["inf_lo"].write_text("variable,lo,hi,freq\nx1,-inf,-5,10\nx1,-5,5,0\n")
     return paths
 
 
