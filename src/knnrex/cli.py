@@ -47,6 +47,9 @@ SWEPT = {
 }
 GRID_FLAGS = [name for name in PARAMS if any(name in names for names in SWEPT.values())]
 
+# validate-asymptotics --density linear without --slope.
+DEFAULT_SLOPE = 5.0
+
 
 class _Phases:
     """Wall-clock bookkeeping; phase names appear as time_<name> keys."""
@@ -138,6 +141,8 @@ def _comma_list(parse):
 
 
 def cmd_gen_data(args, phases):
+    if args.spec is not None and args.dataset != "gmm":
+        raise BadParams(f"gen-data --dataset {args.dataset} takes no --spec (gmm only)")
     rng = np.random.default_rng(args.seed)
     with phases.measure("generate"):
         if args.dataset == "swissroll":
@@ -283,9 +288,12 @@ def cmd_sweep(args, phases):
 def cmd_validate_asymptotics(args, phases):
     rng = np.random.default_rng(args.seed)
     if args.density == "uniform":
-        model = uniform_model(args.dim)
+        if args.slope is not None:
+            raise BadParams("validate-asymptotics --density uniform takes no --slope (linear only)")
+        model, slope_lines = uniform_model(args.dim), []
     else:
-        model = linear_model(args.dim, args.slope)
+        value = DEFAULT_SLOPE if args.slope is None else args.slope
+        model, slope_lines = linear_model(args.dim, value), [f"slope: {value!r}"]
     x = np.zeros(args.dim)
     with phases.measure("evaluation"):
         report = asymptotics_report(model, x, args.deltas, args.samples, rng)
@@ -293,7 +301,7 @@ def cmd_validate_asymptotics(args, phases):
         "[results]",
         f"density: {args.density}",
         f"dim: {args.dim}",
-        f"slope: {args.slope!r}",
+        *slope_lines,
         f"samples: {args.samples}",
         f"gradient_check: {report.gradient_check!r}",
         "delta acceptance_rate first_term second_predicted second_measured max_abs_dev max_dev_in_se",
@@ -396,7 +404,7 @@ def build_parser():
     va = subs.add_parser("validate-asymptotics", help="small-ball covariance: theory vs Monte Carlo")
     va.add_argument("--density", choices=["uniform", "linear"], default="uniform")
     va.add_argument("--dim", type=_int_at_least(1), default=2)
-    va.add_argument("--slope", type=float, default=5.0)
+    va.add_argument("--slope", type=float, help=f"linear only; default {DEFAULT_SLOPE}")
     va.add_argument("--deltas", type=_comma_list(float), default=[0.2, 0.1])
     va.add_argument("--samples", type=int, default=100_000)
     va.add_argument("--seed", type=int, default=0)

@@ -9,6 +9,7 @@ written file gives back the same floats.
 """
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ from .estimators import MarginalSpec
 # Rows formatted per write call: one block's text and field list stay well
 # below the memory of the k-NN build for any population written.
 WRITE_BLOCK_ROWS = 65_536
+
+# Characters per read while scanning a point CSV for _LOADTXT_ONLY_SPACE.
+_SCAN_CHARS = 1 << 20
+# Taken as whitespace around a number by np.loadtxt but not by float().
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -42,29 +48,74 @@ def default_columns(dim: int) -> list:
 
 
 def read_points_csv(path) -> PointSet:
+    """Read a point CSV: the body in one bulk parse where that is known to
+    give the row loop's result, and by the row loop otherwise, which alone
+    raises the diagnostics and their line numbers."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        points = _read_bulk(handle)
+        if points is None:
+            handle.seek(0)
+            points = _read_rows(path, handle)
+    return points
+
+
+def _read_bulk(handle):
+    """The header by ``csv`` and the body by one ``np.loadtxt`` call, or None
+    where the row loop must decide.
+
+    ``np.loadtxt`` parses floats as ``float()`` does, bit for bit, but it
+    strips the ASCII separators U+001C..U+001F as whitespace, which
+    ``float()`` refuses, so a file holding them takes the row loop. Where
+    ``float()`` accepts more (quoted fields, ``1_000``, non-ASCII digits),
+    ``np.loadtxt`` raises and the row loop runs. ``comments=None``: with
+    ``#`` as comment mark, ``1#x`` would parse as 1. Blank lines are skipped
+    by both. Non-finite values go to the row loop for their line number.
+    """
+    try:
+        for chunk in iter(lambda: handle.read(_SCAN_CHARS), ""):
+            if any(char in chunk for char in _LOADTXT_ONLY_SPACE):
+                return None
+        handle.seek(0)
+        first = handle.readline()
+        if '"' in first:  # a quoted header may span lines or hide commas
+            return None
+        columns = [name.strip() for name in next(csv.reader([first]))]
+        if not columns or not all(columns):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            values = np.loadtxt(handle, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (ValueError, csv.Error, Warning):  # undecodable or unparsable: the row loop decides
+        return None
+    if values.shape[0] == 0 or values.shape[1] != len(columns) or not np.isfinite(values).all():
+        return None
+    return PointSet(values=values, columns=columns)
+
+
+def _read_rows(path, handle) -> PointSet:
+    """Parse row by row with ``csv`` and ``float()``, raising on the first bad line."""
+    reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file") from None
+    columns = [name.strip() for name in header]
+    if not columns or any(not name for name in columns):
+        raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
+    rows = []
+    blank_lines = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            blank_lines.append(lineno)
+            continue
+        if len(row) != len(columns):
+            raise CsvFormatError(
+                f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        columns = [name.strip() for name in header]
-        if not columns or any(not name for name in columns):
-            raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
-        rows = []
-        blank_lines = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                blank_lines.append(lineno)
-                continue
-            if len(row) != len(columns):
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(field) for field in row])
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {row!r}") from None
+            rows.append([float(field) for field in row])
+        except ValueError:
+            raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {row!r}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)

@@ -300,6 +300,12 @@ MALFORMED = [
       "--in", "{ring}"], 1, "BadSpec: variable 'x1': bin edges must be finite"),
     (["synthesize-corrected", "--m", "1", "--marginals", "{inf_lo}", "--total", "10",
       "--in", "{ring}"], 1, "BadSpec: variable 'x1': bin edges must be finite"),
+    (["gen-data", "--dataset", "ring", "--n", "5", "--spec", "{missing}"], 1,
+     "BadParams: gen-data --dataset ring takes no --spec (gmm only)"),
+    (["gen-data", "--dataset", "swissroll", "--n", "5", "--spec", "{missing}"], 1,
+     "BadParams: gen-data --dataset swissroll takes no --spec (gmm only)"),
+    (["validate-asymptotics", "--slope", "99", "--samples", "100"], 1,
+     "BadParams: validate-asymptotics --density uniform takes no --slope (linear only)"),
 ]
 
 
@@ -364,3 +370,21 @@ def test_golden_regeneration_refuses_unknown_cases():
                          capture_output=True, text=True, env=env)
     assert run.returncode != 0
     assert "unknown case(s) no_such_case" in run.stderr
+
+
+def test_linear_slope_defaults_to_five(tmp_path):
+    argv = ["validate-asymptotics", "--density", "linear", "--deltas", "0.4",
+            "--samples", "2000", "--seed", "3", "--out"]
+    assert run_cli(argv + [str(tmp_path / "default.txt")]) == 0
+    assert run_cli(argv + [str(tmp_path / "five.txt"), "--slope", "5"]) == 0
+    default, five = ((tmp_path / name).read_text().split("[manifest]")
+                     for name in ("default.txt", "five.txt"))
+    assert default[0] == five[0] and "\nslope: 5.0\n" in default[0]
+    assert "\nslope:" not in default[1] and "\nslope: 5.0\n" in five[1]
+
+
+def test_uniform_report_has_no_slope(tmp_path):
+    out = tmp_path / "asym.txt"
+    assert run_cli(["validate-asymptotics", "--deltas", "0.4", "--samples", "2000",
+                    "--out", str(out)]) == 0
+    assert "\nslope:" not in out.read_text()

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnrex import BadSpec, CsvFormatError, InconsistentMarginals, PointSet
 from knnrex import dataio
@@ -206,3 +208,128 @@ def test_read_points_diagnostic_lines(tmp_path, text, message):
     path.write_bytes(text.encode())
     with pytest.raises(CsvFormatError, match=message):
         read_points_csv(path)
+
+
+def reference_read_points_csv(path):
+    """The former row-by-row reader, frozen as the oracle of read_points_csv."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(f"{path}: empty file") from None
+        columns = [name.strip() for name in header]
+        if not columns or any(not name for name in columns):
+            raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
+        rows = []
+        blank_lines = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                blank_lines.append(lineno)
+                continue
+            if len(row) != len(columns):
+                raise CsvFormatError(
+                    f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(field) for field in row])
+            except ValueError:
+                raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {row!r}") from None
+    if not rows:
+        raise CsvFormatError(f"{path}: no data rows")
+    values = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(values).all():
+        row = int(np.argmin(np.isfinite(values).all(axis=1)))
+        lineno = row + 2
+        for blank in blank_lines:  # skipped blank lines shift the data rows down
+            if blank <= lineno:
+                lineno += 1
+        raise CsvFormatError(f"{path}: line {lineno}: non-finite field in {rows[row]!r}")
+    return PointSet(values=values, columns=columns)
+
+
+def _outcome(read, path):
+    """Columns and exact value bytes, or the exception's type and message."""
+    try:
+        points = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = points.values
+    return points.columns, values.dtype, values.shape, values.tobytes()
+
+
+# Padding around a number: ASCII and Unicode whitespace, then the ASCII
+# separators U+001C..U+001F, which np.loadtxt strips and float() refuses.
+_PLAIN_PAD = ["", "", " ", "\t", "\x0c", "\x0b", "\xa0", "\u2003"]
+_RISKY_PAD = ["\x1c", "\x1f"]
+_PLAIN_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["+.5", "-0", "5.", "1E3", "1e-320"]),
+)
+_RISKY_FIELD = st.sampled_from([
+    '"1.5"', '"1,5"', '""', "1#x", "#", "", " ", "x", "1_000", "\u0661\u0662", "\uff13",
+    "\ufeff1", "0x1p3", "1d5", "nan", "-inf", "Infinity", "infinity", "1e400", "1\x002",
+])
+_PLAIN_NAME = ["a", " b ", "x1", "#c", "\xa0d"]
+_RISKY_HEADER = ["", " ", '"q"', "a,'b", '"a,b",c', '"a\nb",c', "a,", "\ufeffa"]
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _point_csv(draw):
+    """CSV bytes from risky pieces. Each file is plain or risky; a plain one
+    holds only what the bulk parse takes, so both read paths run."""
+    risky = draw(st.booleans())
+
+    def rare():
+        return risky and draw(st.integers(0, 4)) == 0
+
+    if rare() and rare():
+        return draw(st.sampled_from(["", "\n", "\ufeff", " "])).encode("utf-8")
+    d = draw(st.integers(1, 3))
+    header = ",".join(draw(st.sampled_from(_PLAIN_NAME)) for _ in range(d))
+    if rare():
+        header = draw(st.sampled_from(_RISKY_HEADER))
+    pads = st.sampled_from(_PLAIN_PAD + _RISKY_PAD if risky else _PLAIN_PAD)
+    lines = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")  # blank line
+        elif rare():
+            lines.append(draw(st.sampled_from([" ", "\t", "\x0c", "\xa0", ",", "#"])))
+        else:
+            width = d + (draw(st.sampled_from([-1, 1])) if rare() else 0)
+            fields = [
+                draw(_RISKY_FIELD) if rare() else draw(pads) + draw(_PLAIN_NUMBER) + draw(pads)
+                for _ in range(max(width, 1))
+            ]
+            lines.append(",".join(fields) + ("," if rare() else ""))  # maybe a trailing comma
+    ends = [draw(_LINE_END) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    text = "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    if rare():
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + text[at:]  # not UTF-8
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_point_csv())
+def test_read_points_matches_frozen_row_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("diff") / "pts.csv"
+    path.write_bytes(data)
+    assert _outcome(read_points_csv, path) == _outcome(reference_read_points_csv, path)
+
+
+def test_read_points_written_file_takes_the_bulk_path(tmp_path, monkeypatch):
+    def row_loop(path, handle):
+        raise AssertionError("row loop ran on a plain file")
+
+    values = _values(500, 3, np.float64, seed=5)
+    write_points_csv(tmp_path / "pts.csv", PointSet(values, ["a", "b", "c"]))
+    monkeypatch.setattr(dataio, "_read_rows", row_loop)
+    back = read_points_csv(tmp_path / "pts.csv")
+    assert back.columns == ["a", "b", "c"]
+    assert back.values.tobytes() == values.tobytes()

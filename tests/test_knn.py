@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnrex import BadParams, KTooLarge, build_knn, query_neighbors
 
@@ -17,6 +19,12 @@ def brute_force_knn(X, k):
         ids[i] = [j for _, j in d2[:k]]
         dists[i] = [np.sqrt(v) for v, _ in d2[:k]]
     return ids, dists
+
+
+def brute_force_query(X, q, k):
+    """Oracle of query_neighbors: all rows sorted by (distance, id)."""
+    d2 = sorted((float(np.sum((X[j] - q) ** 2)), j) for j in range(len(X)))
+    return np.array([j for _, j in d2[:k]]), np.array([np.sqrt(v) for v, _ in d2[:k]])
 
 
 def test_four_point_line():
@@ -86,3 +94,48 @@ def test_rows_sorted_and_self_excluded():
     assert np.all(np.diff(index.dists, axis=1) >= 0)
     assert not np.any(index.ids == np.arange(50)[:, np.newaxis])
     assert index.ids.shape == (50, 10)
+
+
+@st.composite
+def _grid_case(draw):
+    """Points on a small integer grid times a power of two, so every squared
+    distance is exact in any summation order and ties are exact: many
+    duplicates, constant columns, and often more than k points tied at the
+    k-th distance. Returns (X, q, k)."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    span = draw(st.integers(0, 3))
+    cells = st.integers(-span, span)
+    X = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=n, max_size=n)),
+                 dtype=np.float64)
+    for col in range(d):
+        if draw(st.integers(0, 3)) == 0:
+            X[:, col] = draw(cells)  # a constant column
+    q = np.array(draw(st.lists(cells, min_size=d, max_size=d)), dtype=np.float64)
+    scale = 2.0 ** draw(st.integers(-4, 4))
+    return X * scale, q * scale, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_case())
+def test_build_and_query_match_oracle_on_tied_grids(case):
+    X, q, k = case
+    index = build_knn(X, k)
+    oracle_ids, oracle_dists = brute_force_knn(X, k)
+    assert np.array_equal(index.ids, oracle_ids)
+    assert np.array_equal(index.dists, oracle_dists)
+    ids, dists = query_neighbors(X, q, k + 1)
+    oracle_ids, oracle_dists = brute_force_query(X, q, k + 1)
+    assert np.array_equal(ids, oracle_ids)
+    assert np.array_equal(dists, oracle_dists)
+
+
+def test_ties_beyond_k_take_the_lower_indices():
+    # point 0 at the origin; points 1..8 all at distance 1 from it
+    ring = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    X = np.array([[0, 0]] + ring + ring, dtype=np.float64)
+    index = build_knn(X, 3)
+    assert list(index.ids[0]) == [1, 2, 3]
+    assert list(index.ids[5]) == [1, 0, 2]  # its duplicate 1, then the origin, then 2
+    ids, dists = query_neighbors(X, np.zeros(2), 4)
+    assert list(ids) == [0, 1, 2, 3] and list(dists) == [0.0, 1.0, 1.0, 1.0]
