@@ -2,9 +2,10 @@
 
 Every artifact-writing subcommand drops a ``<out>.manifest.txt`` sidecar,
 and text reports end in the same manifest block. The manifest echoes the
-subcommand and every flag that holds a value, then per-phase wall-clock
-timings. Timing lines carry a ``time_`` key prefix; everything else in a
-report is byte-reproducible given the same inputs and seed.
+subcommand and every flag that holds a value, then the command's
+deterministic ``count_`` lines, if any, then per-phase wall-clock timings.
+Timing lines carry a ``time_`` key prefix; everything else in a report is
+byte-reproducible given the same inputs and seed.
 """
 
 import argparse
@@ -52,10 +53,12 @@ DEFAULT_SLOPE = 5.0
 
 
 class _Phases:
-    """Wall-clock bookkeeping; phase names appear as time_<name> keys."""
+    """Wall-clock bookkeeping; phase names appear as time_<name> keys. A
+    command may also record deterministic counts, shown as count_<name>."""
 
     def __init__(self):
         self.seconds = {}
+        self.counts = {}
         self._t0 = time.perf_counter()
 
     @contextmanager
@@ -72,7 +75,7 @@ class _Phases:
 
 def _manifest_lines(args, phases):
     """``subcommand``, then every parsed flag that holds a value, sorted by
-    dest name, then the phase timings."""
+    dest name, then the counts in the order recorded, then the phase timings."""
     lines = [f"subcommand: {args.subcommand}"]
     for key, value in sorted(vars(args).items()):
         if key in ("func", "subcommand") or value is None:
@@ -82,6 +85,8 @@ def _manifest_lines(args, phases):
         elif key == "method":
             value = METHOD_FLAGS.get(value, value)
         lines.append(f"{key}: {value}")
+    for name, count in phases.counts.items():
+        lines.append(f"count_{name}: {count}")
     for name in sorted(phases.seconds):
         lines.append(f"time_{name}: {phases.seconds[name]:.6f}")
     lines.append(f"time_total: {phases.total():.6f}")
@@ -195,19 +200,31 @@ def cmd_synthesize(args, phases):
 
 
 def cmd_synthesize_corrected(args, phases):
-    rng = np.random.default_rng(args.seed)
+    cfg = EstimatorConfig("knn_rex", k=args.k, m=args.m, seed=args.seed)
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
         marginals = read_marginals_csv(args.marginals, args.total)
+    transform = index = None
+    if cfg.uses_index:
+        with phases.measure("whiten"):
+            transform = whiten_fit(train.values)
+            train_w = whiten_apply(transform, train.values)
+        with phases.measure("index"):
+            index = build_knn(train_w, cfg.k)
     with phases.measure("synthesis"):
         synth = synth_bias_corrected(
             train.values,
             marginals,
-            args.k,
-            args.m,
+            cfg.k,
+            cfg.m,
             rng,
             columns=train.columns,
             round_integers=args.round_integers,
+            transform=transform,
+            index=index,
+            counters=phases.counts,
         )
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))

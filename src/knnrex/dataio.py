@@ -92,9 +92,22 @@ def _read_bulk(handle):
     return PointSet(values=values, columns=columns)
 
 
+def _csv_rows(path, handle):
+    """The rows of ``csv.reader(handle)``; bytes that are not UTF-8 and the
+    reader's own errors (such as a field over its size limit) become
+    CsvFormatError naming the file."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_rows(path, handle) -> PointSet:
     """Parse row by row with ``csv`` and ``float()``, raising on the first bad line."""
-    reader = csv.reader(handle)
+    reader = _csv_rows(path, handle)
     try:
         header = next(reader)
     except StopIteration:
@@ -143,7 +156,7 @@ def write_points_csv(path, points: PointSet) -> None:
 def read_marginals_csv(path, total: int) -> MarginalSpec:
     """Parse a ``variable,lo,hi,freq`` file into a MarginalSpec."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(path, handle)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:

@@ -82,4 +82,5 @@ class RejectionStall(KnnRexError):
 
 
 class CsvFormatError(KnnRexError):
-    """Malformed CSV input; message includes the offending line number."""
+    """Malformed CSV input; the message names the file and, for a parse
+    error, the offending line number."""

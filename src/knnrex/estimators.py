@@ -24,7 +24,6 @@ the caller's generator, so a seed pins the output exactly.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,7 +37,7 @@ from .errors import (
     SingularSigma,
     StallLimit,
 )
-from .kernels import kcs_stats, rex_batch, rex_log_density, rex_sample
+from .kernels import kcs_stats, rex_batch, rex_log_density
 from .knn import build_knn, query_neighbors
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
@@ -49,6 +48,16 @@ DEFAULT_CHUNK = 8192
 # The bias-corrected loop gives up after this many iterations per output
 # point without net progress.
 STALL_FACTOR = 50
+
+# Proposals drawn by the first refill of a bias-corrected bin's reservoir;
+# each later refill of the same bin draws twice as many, up to the cap.
+RESERVOIR_START = 32
+RESERVOIR_CAP = 4096
+
+# The counters synth_bias_corrected reports, in manifest order.
+CORRECTED_COUNTERS = (
+    "iterations", "proposals", "unused", "rejected", "evictions", "uniform_seeds", "peak_stall",
+)
 
 
 def _sample(X) -> np.ndarray:
@@ -170,20 +179,24 @@ def synth_knn_rex(
         seeds = crng.integers(0, n, size=size)
         if m == 1:
             return X[seeds]
-        neighbors = index.ids[seeds]
-        if m - 1 == k:
-            picks = neighbors
-        elif m - 1 == 1:
-            cols = crng.integers(0, k, size=size)
-            picks = neighbors[np.arange(size), cols][:, np.newaxis]
-        else:
-            # m-1 smallest of k i.i.d. uniform scores = a uniform subset.
-            scores = crng.random((size, k))
-            pos = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
-            picks = np.take_along_axis(neighbors, pos, axis=1)
+        picks = _pick_neighbors(index.ids[seeds], m, crng)
         return rex_batch(X[np.column_stack((seeds, picks))], crng)
 
     return _chunked(l, d, rng, draw)
+
+
+def _pick_neighbors(neighbors: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform (m-1)-subset of each row of an (s, k) neighbor-id array."""
+    s, k = neighbors.shape
+    if m - 1 == k:
+        return neighbors
+    if m - 1 == 1:
+        cols = rng.integers(0, k, size=s)
+        return neighbors[np.arange(s), cols][:, np.newaxis]
+    # m-1 smallest of k i.i.d. uniform scores = a uniform subset.
+    scores = rng.random((s, k))
+    pos = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
+    return np.take_along_axis(neighbors, pos, axis=1)
 
 
 def _gaussian(X, widths, l, rng):
@@ -297,14 +310,6 @@ class MarginalSpec:
         return np.where((values >= edges[0]) & (values <= edges[-1]), idx, -1)
 
 
-def _bin_index(edges: list, value: float) -> int:
-    """``MarginalSpec.bin_of`` for one float on a list of the variable's edges."""
-    b = bisect_right(edges, value) - 1
-    if b == len(edges) - 1:  # at or past the last edge, or NaN
-        return b - 1 if value == edges[-1] else -1
-    return b
-
-
 def _round_half_away(values: np.ndarray) -> np.ndarray:
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
 
@@ -317,37 +322,57 @@ def synth_bias_corrected(
     rng: np.random.Generator,
     columns=None,
     round_integers: bool = False,
+    transform=None,
+    index=None,
+    counters: dict | None = None,
 ) -> np.ndarray:
     """Synthesize a population whose marginal bin counts match ``marginals``.
 
     The kernel machinery runs in whitened coordinates while bin membership is
     tested in original units, so the marginal targets apply to the data as
-    published. Each iteration seeds the kernel in the currently most vacant
-    bin: from the training points in that bin when any exist, otherwise from
-    a fresh uniform point on the bin (other coordinates uniform on their
-    empirical ranges) whose neighbors are found on the fly. Overfull bins are
-    drained by evicting random members until every count is back within its
-    target, so ``|Y_b| <= F_b`` holds after every iteration and the loop
-    exits exactly when all counts hit their targets.
+    published. Each iteration takes one proposal seeded in the currently
+    most vacant bin: from the training points in that bin when any exist,
+    otherwise from a fresh uniform point on the bin (other coordinates
+    uniform on their empirical ranges) whose neighbors are found on the fly.
+    A proposal outside the binned range of any variable is rejected.
+    Overfull bins are drained by evicting random members until every count
+    is back within its target, so ``|Y_b| <= F_b`` holds after every
+    iteration and the loop exits exactly when all counts hit their targets.
 
     Every (variable, bin) pair has one flat id: variable v owns the ids
-    ``offsets[v] .. offsets[v+1]-1`` in bin order. One int64 array holds the
+    ``offsets[v] .. offsets[v+1]-1`` in bin order. One list holds the
     vacancy (target minus count) of every flat id, and the most vacant bin
     is its first maximum in flat order, so ties go to the earlier variable,
     then the lower bin. Each bin keeps its members in a list with
     swap-removal, and an eviction picks a uniform position in that list.
 
-    A proposal's bin in each variable comes from one scalar rule on the
-    variable's edge list: ``bisect_right(edges, value) - 1``, except that the
-    last edge itself falls in the last bin (right-closed) and any value
-    outside ``[edges[0], edges[-1]]``, NaN included, gets -1, which rejects
-    the proposal. This is ``MarginalSpec.bin_of`` for one value.
+    Proposals come from one reservoir per flat id. When the loop picks bin
+    f and f's reservoir is empty, it refills it in one vectorised step:
+    seeds and neighbor picks for the whole batch, one (s, m, d) KCS stack
+    through ``rex_batch``, one ``whiten_invert`` and one
+    ``MarginalSpec.bin_of`` call per variable. The first refill of a bin
+    draws ``RESERVOIR_START`` proposals and each later one twice as many as
+    the last, up to ``RESERVOIR_CAP``. The loop then takes f's proposals in
+    draw order, one per iteration. This is the one-proposal-per-iteration
+    method in law: given f, a proposal depends only on f's pool (or f's
+    uniform branch) and the sample, never on the counts or members the
+    ledger changes, so proposals seeded in f are i.i.d. whenever they are
+    drawn. Drawing them ahead only reorders the random stream, so a seed
+    gives a different population than the former per-proposal loop did.
 
-    Raises StallLimit (carrying the partial output, the iteration count and
-    the per-variable deficits) after ``STALL_FACTOR * l`` iterations without
-    net progress. When ``round_integers`` is set, coordinates are rounded
+    ``transform`` (a whitening fitted to X) and ``index`` (a k-NN index of
+    the whitened X at this k) may be passed to keep those phases out of
+    synthesis timings; without them the function builds its own when
+    m > 1. When ``round_integers`` is set, coordinates are rounded
     half-away-from-zero after the map back to original units, before bin
-    membership is tested.
+    membership is tested. A ``counters`` dict receives, in place, the
+    counts of iterations (proposals taken), proposals drawn, proposals left
+    unused in the reservoirs, out-of-range rejections, evictions,
+    uniform-branch seeds drawn and the peak stall.
+
+    Raises StallLimit after ``STALL_FACTOR * l`` iterations without net
+    progress; it carries the partial output and, as its diagnostics, the
+    same counters plus the per-variable deficits.
     """
     X = _sample(X)
     n, d = X.shape
@@ -368,111 +393,155 @@ def synth_bias_corrected(
             )
 
     l = marginals.total
+    tally = dict.fromkeys(CORRECTED_COUNTERS, 0)
     if l == 0:
+        if counters is not None:
+            counters.update(tally)
         return np.empty((0, d))
 
     needs_kernel = m > 1
     if needs_kernel:
-        transform = whiten_fit(X)
+        if transform is None:
+            transform = whiten_fit(X)
         Xw = whiten_apply(transform, X)
-        index = build_knn(Xw, k)
-        kcs = np.empty((m, d))  # the whitened seed, then its m-1 picks
+        if index is None:
+            index = build_knn(Xw, k)
     mins = X.min(axis=0)
     spans = X.max(axis=0) - mins
 
     sizes = [freq.size for freq in marginals.freqs]
-    offsets = np.cumsum([0, *sizes]).tolist()
+    offsets = np.cumsum([0, *sizes])
     flat_cols = np.repeat(var_cols, sizes).tolist()  # data column per flat id
-    vacancy = np.concatenate(marginals.freqs)
-    edge_lists = [e.tolist() for e in marginals.edges]
+    vacancy = np.concatenate(marginals.freqs).tolist()
+    n_flat = len(vacancy)
     lows = np.concatenate([e[:-1] for e in marginals.edges])
     highs = np.concatenate([e[1:] for e in marginals.edges])
     pools = [np.flatnonzero(bins == b) for bins, size in zip(sample_bins, sizes) for b in range(size)]
 
-    members = [[] for _ in range(vacancy.size)]  # point keys per flat id
-    # Per point ever placed: coordinates, flat ids, position in each of its
-    # member lists, and whether it is still in the output.
-    points, point_ids, slots, alive = [], [], [], []
+    def propose(f, size):
+        """``size`` proposals seeded in bin f: their points and, per point,
+        its flat id in each variable, or -1s when it is out of range."""
+        pool = pools[f]
+        if pool.size > 0:
+            seed_ids = pool[rng.integers(pool.size, size=size)]
+            Y = X[seed_ids]
+            if needs_kernel:
+                seeds_w, neighbors = Xw[seed_ids], index.ids[seed_ids]
+        else:
+            Y = mins + spans * rng.random((size, d))
+            Y[:, flat_cols[f]] = lows[f] + (highs[f] - lows[f]) * rng.random(size)
+            if needs_kernel:
+                seeds_w = whiten_apply(transform, Y)
+                neighbors, _ = query_neighbors(Xw, seeds_w, k)
+        if needs_kernel:
+            kcs = np.empty((size, m, d))
+            kcs[:, 0] = seeds_w
+            kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng)]
+            Y = whiten_invert(transform, rex_batch(kcs, rng))
+        if round_integers:
+            Y = _round_half_away(Y)
+        bins = np.column_stack([marginals.bin_of(v, Y[:, col]) for v, col in enumerate(var_cols)])
+        ids = np.where((bins >= 0).all(axis=1, keepdims=True), bins + offsets[:-1], -1)
+        return Y, ids.tolist()
+
+    # Per flat id: reservoir points, their flat-id rows, the next row to
+    # take, and the size of the next refill.
+    res_points = [None] * n_flat
+    res_ids = [[] for _ in range(n_flat)]
+    res_next = [0] * n_flat
+    refill = [RESERVOIR_START] * n_flat
+
+    members = [[] for _ in range(n_flat)]  # point keys per flat id
+    # Per point key: coordinates, flat ids and position in each of its
+    # member lists. An evicted point's key goes on the free list for the
+    # next commit, so the ledger holds at most l + 1 keys however long the
+    # loop runs; the output is the live keys in key order.
+    points, point_ids, slots, free = [], [], [], []
     placed = 0
 
     def survivors():
-        return np.reshape(points, (-1, d))[np.array(alive, dtype=bool)]
+        return np.delete(np.reshape(points, (-1, d)), np.array(free, dtype=np.int64), axis=0)
+
+    def report():
+        tally["unused"] = sum(len(ids) - pos for ids, pos in zip(res_ids, res_next))
+        if counters is not None:
+            counters.update(tally)
+        return tally
 
     stall = 0
     best_fill = 0
-    iterations = 0
     cap = STALL_FACTOR * l
 
     while placed < l:
-        iterations += 1
+        tally["iterations"] += 1
 
-        f = int(vacancy.argmax())
-        pool = pools[f]
-        if pool.size > 0:
-            seed_id = int(pool[rng.integers(pool.size)])
-            seed = X[seed_id]
-            if needs_kernel:
-                seed_w, neighbors = Xw[seed_id], index.ids[seed_id]
+        f = vacancy.index(max(vacancy))
+        pos = res_next[f]
+        if pos == len(res_ids[f]):
+            size = refill[f]
+            refill[f] = min(2 * size, RESERVOIR_CAP)
+            res_points[f], res_ids[f] = propose(f, size)
+            tally["proposals"] += size
+            if pools[f].size == 0:
+                tally["uniform_seeds"] += size
+            pos = 0
+        res_next[f] = pos + 1
+
+        ids = res_ids[f][pos]
+        if ids[0] < 0:
+            tally["rejected"] += 1
         else:
-            seed = mins + spans * rng.random(d)
-            seed[flat_cols[f]] = lows[f] + (highs[f] - lows[f]) * rng.random()
-            if needs_kernel:
-                seed_w = whiten_apply(transform, seed[np.newaxis, :])[0]
-                neighbors, _ = query_neighbors(Xw, seed_w, k)
-        y = seed
-        if needs_kernel:
-            picks = neighbors if m - 1 == k else neighbors[rng.permutation(k)[: m - 1]]
-            kcs[0] = seed_w
-            kcs[1:] = Xw[picks]
-            y = whiten_invert(transform, rex_sample(kcs, rng)[np.newaxis, :])[0]
-
-        if round_integers:
-            y = _round_half_away(y)
-
-        values = y.tolist()
-        bins = [_bin_index(edges, values[col]) for edges, col in zip(edge_lists, var_cols)]
-        if min(bins) >= 0:
-            key = len(points)
-            ids = [b + o for b, o in zip(bins, offsets)]
-            points.append(y)
-            point_ids.append(ids)
-            slots.append([len(members[f]) for f in ids])
-            alive.append(True)
+            if free:
+                key = free.pop()
+            else:
+                key = len(points)
+                points.append(None)
+                point_ids.append(None)
+                slots.append(None)
+            slot = []
+            for g in ids:
+                vacancy[g] -= 1
+                bucket = members[g]
+                slot.append(len(bucket))
+                bucket.append(key)
+            points[key] = res_points[f][pos]
+            point_ids[key] = ids
+            slots[key] = slot
             placed += 1
-            for f in ids:
-                vacancy[f] -= 1
-                members[f].append(key)
             # Drain any bin the new point overfilled; eviction frees the
             # victim's bins across all variables, so vacancies only go up.
-            for f in ids:
-                if vacancy[f] < 0:
-                    bucket = members[f]
+            for g in ids:
+                if vacancy[g] < 0:
+                    bucket = members[g]
                     victim = bucket[rng.integers(len(bucket))]
-                    for v, g in enumerate(point_ids[victim]):
-                        vacancy[g] += 1
-                        last = members[g].pop()
+                    for v, h in enumerate(point_ids[victim]):
+                        vacancy[h] += 1
+                        last = members[h].pop()
                         if last != victim:
-                            members[g][slots[victim][v]] = last
+                            members[h][slots[victim][v]] = last
                             slots[last][v] = slots[victim][v]
-                    alive[victim] = False
+                    free.append(victim)
                     placed -= 1
+                    tally["evictions"] += 1
 
         if placed > best_fill:
             best_fill = placed
             stall = 0
         else:
             stall += 1
+            tally["peak_stall"] = max(tally["peak_stall"], stall)
             if stall >= cap:
                 deficits = np.add.reduceat(vacancy, offsets[:-1]).tolist()
                 raise StallLimit(
                     f"no net progress for {stall} iterations ({placed}/{l} points placed)",
                     partial=survivors(),
                     diagnostics={
-                        "iterations": iterations,
+                        **report(),
                         "deficits": dict(zip(map(str, marginals.names), deficits)),
                     },
                 )
 
+    report()
     return survivors()
 
 

@@ -6,12 +6,13 @@ weighted deviations of the members from the mean, which costs O(md). The
 density path (needed only for the likelihood-optimized baseline and for
 tests) forms the Gaussian MLE of the KCS explicitly.
 
-Two REX primitives stay apart because one formula for both would change
-output bits: ``rex_samples`` draws many points from one KCS by the matrix
-product ``eps @ (kcs - mu)`` (``rex_sample`` is its one-point case), and
-``rex_batch`` draws once from each KCS of an (s, m, d) stack by an
-``einsum``. Given the same normals, the two differed in at least one bit on
-17,647 of 20,000 random KCSs (m < 40, d < 12).
+Every synthesizer draws through ``rex_batch``, one draw from each KCS of an
+(s, m, d) stack by an ``einsum``. ``rex_samples`` draws many points from one
+KCS by the matrix product ``eps @ (kcs - mu)``; it stays apart because one
+formula for both would change output bits: given the same normals, the two
+differed in at least one bit on 17,647 of 20,000 random KCSs (m < 40,
+d < 12). ``rex_sample``, its one-point case, is no longer called by any
+synthesizer and stays as a public name that the benchmark's tracer wraps.
 """
 
 import math

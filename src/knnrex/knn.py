@@ -49,19 +49,46 @@ def build_knn(X: np.ndarray, k: int) -> KnnIndex:
 
 
 def query_neighbors(X: np.ndarray, q: np.ndarray, k: int):
-    """Exact k nearest rows of X to an external point q.
+    """Exact k nearest rows of X to an external point q, or to each row of
+    an (s, d) batch q.
 
-    Returns (ids, dists) sorted by ascending distance, ties by lower index.
-    q is assumed not to be a member of X, so there is no self-exclusion.
+    Returns (ids, dists) sorted by ascending distance, ties by lower index:
+    of shape (k,) for one point, and (s, k) for a batch with row i for q[i].
+    The points of q are assumed not to be members of X, so there is no
+    self-exclusion.
     """
     X = np.asarray(X, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    n = X.shape[0]
+    n, d = X.shape
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k = {k} but only {n} points exist")
-    diff = X - q
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(d2, kind="stable")[:k]
-    return order, np.sqrt(d2[order])
+    Q = np.atleast_2d(q)
+    ids = np.empty((Q.shape[0], k), dtype=np.int64)
+    dists = np.empty((Q.shape[0], k), dtype=np.float64)
+    chunk = max(1, _CHUNK_BUDGET // (n * d))
+    for start in range(0, Q.shape[0], chunk):
+        stop = min(start + chunk, Q.shape[0])
+        diff = Q[start:stop, np.newaxis, :] - X[np.newaxis, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        order = _smallest(d2, k)
+        ids[start:stop] = order
+        dists[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return (ids[0], dists[0]) if q.ndim == 1 else (ids, dists)
+
+
+def _smallest(d2, k):
+    """Column ids of the k smallest entries of each row of d2, ascending,
+    ties by lower column: the same columns as a stable argsort's first k.
+
+    Every entry up to a row's k-th smallest value is a candidate, so tied
+    entries at that value all compete; sorting the candidates by (row,
+    value) with a stable sort keeps tied columns in ascending order.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(d2 <= kth)
+    order = np.lexsort((d2[rows, cols], rows))
+    counts = np.bincount(rows, minlength=d2.shape[0])
+    starts = np.cumsum(counts) - counts
+    return cols[order[starts[:, np.newaxis] + np.arange(k)]]

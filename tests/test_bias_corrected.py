@@ -11,16 +11,10 @@ from knnrex import (
     MarginalSpec,
     NonFiniteSample,
     StallLimit,
-    build_knn,
     gen_gmm,
-    query_neighbors,
-    rex_sample,
     synth_bias_corrected,
-    whiten_apply,
-    whiten_fit,
-    whiten_invert,
 )
-from knnrex.estimators import _bin_index
+from knnrex.estimators import CORRECTED_COUNTERS, RESERVOIR_START, STALL_FACTOR
 
 
 def histogram_oracle(values, edges):
@@ -173,31 +167,6 @@ def test_bin_of_nan_is_out_of_range():
     assert marg.bin_of(0, [np.nan, -0.5, 0.0, 1.0, 2.0, 2.5]).tolist() == [-1, -1, 0, 1, 1, -1]
 
 
-_EDGE_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 2.0**53]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_EDGE_VALUES, min_size=2, max_size=7, unique=True), st.lists(st.floats(), max_size=5))
-def test_scalar_bin_rule_matches_bin_of(edges, extra):
-    edges = sorted(edges)
-    marg = MarginalSpec(
-        names=("x1",),
-        edges=(np.asarray(edges),),
-        freqs=(np.zeros(len(edges) - 1, dtype=np.int64),),
-        total=0,
-    )
-    values = [0.0, -0.0, np.inf, -np.inf, np.nan, *extra]
-    with np.errstate(over="ignore"):  # the neighbours of +-max are +-inf
-        for e in edges:
-            values += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
-    values = [float(v) for v in values]
-    edge_list = marg.edges[0].tolist()
-    assert [_bin_index(edge_list, v) for v in values] == marg.bin_of(0, values).tolist()
-
-
 def test_bad_spec_errors():
     with pytest.raises(BadSpec):
         MarginalSpec(names=("x1",), edges=(np.asarray([1.0, 0.0]),), freqs=(np.asarray([5]),), total=5)
@@ -234,168 +203,6 @@ def test_stall_limit_emits_partial():
     assert err.diagnostics["deficits"]["x1"] == 5
 
 
-# ---------------------------------------------------------------------------
-# Reference: the loop with per-variable count lists and a member ledger,
-# kept as the oracle that the flat-id loop must match bit for bit.
-# ---------------------------------------------------------------------------
-
-
-class _ReferenceLedger:
-    def __init__(self, freqs):
-        self.points = []
-        self.point_bins = []
-        self.active = []
-        self.n_active = 0
-        self.members = [[[] for _ in f] for f in freqs]
-        self.pos = {}
-
-    def add(self, point, bins):
-        key = len(self.points)
-        self.points.append(point)
-        self.point_bins.append(bins)
-        self.active.append(True)
-        self.n_active += 1
-        for v, b in enumerate(bins):
-            bucket = self.members[v][b]
-            self.pos[(v, key)] = len(bucket)
-            bucket.append(key)
-        return key
-
-    def remove(self, key):
-        for v, b in enumerate(self.point_bins[key]):
-            bucket = self.members[v][b]
-            p = self.pos.pop((v, key))
-            last = bucket.pop()
-            if last != key:
-                bucket[p] = last
-                self.pos[(v, last)] = p
-        self.active[key] = False
-        self.n_active -= 1
-
-    def survivors(self, dim):
-        out = np.empty((self.n_active, dim))
-        row = 0
-        for key, alive in enumerate(self.active):
-            if alive:
-                out[row] = self.points[key]
-                row += 1
-        return out
-
-
-def reference_bias_corrected(X, marginals, k, m, rng, round_integers=False, stall_factor=50):
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    var_cols = [[f"x{i + 1}" for i in range(d)].index(name) for name in marginals.names]
-    n_vars = len(marginals.names)
-    l = marginals.total
-    if l == 0:
-        return np.empty((0, d))
-
-    needs_kernel = m > 1
-    if needs_kernel:
-        transform = whiten_fit(X)
-        Xw = whiten_apply(transform, X)
-        index = build_knn(Xw, k)
-    mins = X.min(axis=0)
-    spans = X.max(axis=0) - mins
-
-    pools = [
-        [np.flatnonzero(marginals.bin_of(v, X[:, col]) == b) for b in range(marginals.freqs[v].size)]
-        for v, col in enumerate(var_cols)
-    ]
-
-    ledger = _ReferenceLedger(marginals.freqs)
-    counts = [np.zeros(f.size, dtype=np.int64) for f in marginals.freqs]
-
-    stall = 0
-    best_fill = 0
-    iterations = 0
-    cap = max(stall_factor * l, stall_factor)
-
-    while ledger.n_active < l:
-        iterations += 1
-
-        best_v, best_b, best_vac = 0, 0, -1
-        for v in range(n_vars):
-            vacancy = marginals.freqs[v] - counts[v]
-            b = int(np.argmax(vacancy))
-            if vacancy[b] > best_vac:
-                best_v, best_b, best_vac = v, b, int(vacancy[b])
-
-        pool = pools[best_v][best_b]
-        if pool.size > 0:
-            seed_id = int(pool[rng.integers(pool.size)])
-            seed = X[seed_id]
-            if needs_kernel:
-                seed_w, neighbors = Xw[seed_id], index.ids[seed_id]
-        else:
-            seed = mins + spans * rng.random(d)
-            lo, hi = marginals.edges[best_v][best_b], marginals.edges[best_v][best_b + 1]
-            seed[var_cols[best_v]] = lo + (hi - lo) * rng.random()
-            if needs_kernel:
-                seed_w = whiten_apply(transform, seed[np.newaxis, :])[0]
-                neighbors, _ = query_neighbors(Xw, seed_w, k)
-        y = seed
-        if needs_kernel:
-            picks = neighbors if m - 1 == k else neighbors[rng.permutation(k)[: m - 1]]
-            kcs = np.vstack([seed_w[np.newaxis, :], Xw[picks]])
-            y = whiten_invert(transform, rex_sample(kcs, rng)[np.newaxis, :])[0]
-
-        if round_integers:
-            y = np.sign(y) * np.floor(np.abs(y) + 0.5)
-
-        bins = []
-        in_range = True
-        for v, col in enumerate(var_cols):
-            b = int(marginals.bin_of(v, np.asarray([y[col]]))[0])
-            if b < 0:
-                in_range = False
-                break
-            bins.append(b)
-
-        if in_range:
-            ledger.add(y, tuple(bins))
-            for v, b in enumerate(bins):
-                counts[v][b] += 1
-            for v, b in enumerate(bins):
-                if counts[v][b] > marginals.freqs[v][b]:
-                    bucket = ledger.members[v][b]
-                    victim = bucket[rng.integers(len(bucket))]
-                    for vv, bb in enumerate(ledger.point_bins[victim]):
-                        counts[vv][bb] -= 1
-                    ledger.remove(victim)
-
-        if ledger.n_active > best_fill:
-            best_fill = ledger.n_active
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cap:
-                deficits = {
-                    str(marginals.names[v]): int((marginals.freqs[v] - counts[v]).sum())
-                    for v in range(n_vars)
-                }
-                raise StallLimit(
-                    f"no net progress for {stall} iterations "
-                    f"({ledger.n_active}/{l} points placed)",
-                    partial=ledger.survivors(d),
-                    diagnostics={"iterations": iterations, "deficits": deficits},
-                )
-
-    return ledger.survivors(d)
-
-
-def _outcome(run):
-    """Output bytes, or the StallLimit partial and diagnostics, or the error."""
-    try:
-        out = run()
-    except StallLimit as exc:
-        return "stall", exc.partial.shape, exc.partial.tobytes(), exc.diagnostics, str(exc)
-    except KnnRexError as exc:
-        return type(exc).__name__, str(exc)
-    return "done", out.shape, out.tobytes()
-
-
 @st.composite
 def _corrected_case(draw):
     """1-3 binned variables of a small sample (optionally with duplicated
@@ -425,12 +232,68 @@ def _corrected_case(draw):
     return X, marg, k, m, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
+def _counts(Y, marg):
+    """Per-variable bin counts of the rows of Y, variable v in column v."""
+    return [histogram_oracle(Y[:, v], edges) for v, edges in enumerate(marg.edges)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(_corrected_case())
-def test_matches_reference_loop(case):
+def test_invariants_hold(case):
     X, marg, k, m, round_integers, seed = case
-    got = _outcome(lambda: synth_bias_corrected(
-        X, marg, k, m, np.random.default_rng(seed), round_integers=round_integers))
-    want = _outcome(lambda: reference_bias_corrected(
-        X, marg, k, m, np.random.default_rng(seed), round_integers=round_integers))
-    assert got == want
+
+    def run():
+        counters = {}
+        try:
+            out = synth_bias_corrected(
+                X, marg, k, m, np.random.default_rng(seed), round_integers=round_integers,
+                counters=counters)
+        except StallLimit as exc:
+            return exc.partial, exc.diagnostics, True
+        except KnnRexError as exc:
+            return type(exc).__name__, str(exc), None
+        return out, counters, False
+
+    out, counters, stalled = run()
+    again = run()
+    if stalled is None:  # a refused input is refused the same way every time
+        assert again == (out, counters, None)
+        return
+    assert again[0].tobytes() == out.tobytes() and again[1:] == (counters, stalled)
+
+    assert out.shape[1] == X.shape[1] and np.isfinite(out).all()
+    if round_integers:
+        assert np.array_equal(out, np.round(out))
+    for v, edges in enumerate(marg.edges):  # every row lies inside a bin of every variable
+        assert np.all((out[:, v] >= edges[0]) & (out[:, v] <= edges[-1]))
+    counts = _counts(out, marg)
+    if stalled:
+        deficits = counters.pop("deficits")
+        for v, name in enumerate(marg.names):
+            assert np.all(counts[v] <= marg.freqs[v])
+            assert deficits[name] == int((marg.freqs[v] - counts[v]).sum())
+        assert counters["peak_stall"] == STALL_FACTOR * marg.total
+    else:
+        assert all(np.array_equal(c, f) for c, f in zip(counts, marg.freqs))
+        assert out.shape[0] == marg.total
+    assert list(counters) == list(CORRECTED_COUNTERS)
+    # every iteration takes one drawn proposal and commits it or rejects it;
+    # every commit not evicted since is an output row
+    assert counters["proposals"] == counters["iterations"] + counters["unused"]
+    assert counters["iterations"] - counters["rejected"] - counters["evictions"] == out.shape[0]
+    assert counters["uniform_seeds"] <= counters["proposals"]
+
+
+@pytest.mark.parametrize("empty_first", [True, False])
+def test_ties_go_to_the_first_flat_id(empty_first):
+    # Two bins with one point demanded each: the vacancies tie, so the first
+    # refill goes to flat id 0. The bin outside the sample's range has no
+    # pool, so its one refill is the uniform branch's.
+    X = np.random.default_rng(12).uniform(0.0, 1.0, size=(20, 2))
+    edges = np.asarray([-1.0, 0.0, 1.0]) if empty_first else np.asarray([0.0, 1.0, 2.0])
+    marg = MarginalSpec(names=("x1",), edges=(edges,), freqs=(np.asarray([1, 1]),), total=2)
+    counters = {}
+    out = synth_bias_corrected(X, marg, k=0, m=1, rng=np.random.default_rng(0), counters=counters)
+    assert edges[0] <= out[0, 0] < edges[1]  # the first output row comes from flat id 0
+    assert counters["uniform_seeds"] == RESERVOIR_START
+    assert counters["iterations"] == 2 and counters["proposals"] == 2 * RESERVOIR_START

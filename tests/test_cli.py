@@ -10,7 +10,7 @@ import pytest
 import knnrex.evaluation
 from knnrex.cli import _resolve_config, build_parser
 from knnrex.cli import main as cli_main
-from knnrex.estimators import EstimatorConfig
+from knnrex.estimators import CORRECTED_COUNTERS, EstimatorConfig
 
 from golden_cases import CASES, GOLDEN_DIR, run_case, strip_timings
 
@@ -35,7 +35,8 @@ def test_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_manifest_echoes_every_flag(name):
-    # subcommand, then every flag the parser set except None, sorted by dest
+    # subcommand, then every flag the parser set except None, sorted by dest,
+    # then the command's counters, then the timings
     case = CASES[name]
     args = vars(build_parser().parse_args(case["command"]))
     flags = sorted(k for k, v in args.items() if v is not None and k not in ("func", "subcommand"))
@@ -43,7 +44,12 @@ def test_manifest_echoes_every_flag(name):
     manifest = (GOLDEN_DIR / name / report).read_text().split("[manifest]\n")[-1]
     keys = [line.split(": ", 1)[0] for line in manifest.splitlines()]
     assert keys[: len(flags) + 1] == ["subcommand", *flags]
-    assert all(key.startswith("time_") for key in keys[len(flags) + 1 :])
+    rest = keys[len(flags) + 1 :]
+    counts = [key for key in rest if key.startswith("count_")]
+    want = [f"count_{c}" for c in CORRECTED_COUNTERS] if name == "synthesize_corrected" else []
+    assert counts == want
+    assert rest[: len(counts)] == counts
+    assert rest[len(counts) :] and all(key.startswith("time_") for key in rest[len(counts) :])
 
 
 def test_synthesize_byte_identical_reruns(tmp_path):
@@ -113,6 +119,32 @@ def test_non_finite_input_exit_1(tmp_path, capsys):
     good.write_text("x1,x2\n0.5,1.5\n1.0,2.0\n")
     assert run_cli(["evaluate", "--a", str(good), "--b", str(bad)]) == 1
     assert "line 4: non-finite" in capsys.readouterr().err
+
+
+# Undecodable bytes, and a field over the csv module's 131072-character limit.
+UNREADABLE = {
+    "not_utf8": (b"\xff", "not UTF-8 text"),
+    "huge_field": (b"1" * 140_000, "line 3: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_csv_exit_1(tmp_path, capsys, kind):
+    field, message = UNREADABLE[kind]
+    points = tmp_path / "points.csv"
+    points.write_bytes(b"x1,x2\n0.5,1.5\n" + field + b",2.0\n")
+    assert run_cli(["evaluate", "--a", str(points), "--b", str(points)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CsvFormatError: {points}: ") and message in err
+
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "30", "--out", str(train)]) == 0
+    marg = tmp_path / "marg.csv"
+    marg.write_bytes(b"variable,lo,hi,freq\nx1,-9,9,5\nx1,9," + field + b",0\n")
+    assert run_cli(["synthesize-corrected", "--total", "5", "--marginals", str(marg),
+                    "--in", str(train), "--out", str(tmp_path / "y.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CsvFormatError: {marg}: ") and message in err
 
 
 def test_negative_population_size_exit_2(tmp_path, capsys):

@@ -248,6 +248,16 @@ def reference_read_points_csv(path):
     return PointSet(values=values, columns=columns)
 
 
+def reference_with_named_errors(path):
+    """The frozen reader, with the one exception it let escape on these
+    inputs, a UnicodeDecodeError, raised as the CsvFormatError that the
+    readers now raise for a file that is not UTF-8 text."""
+    try:
+        return reference_read_points_csv(path)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _outcome(read, path):
     """Columns and exact value bytes, or the exception's type and message."""
     try:
@@ -320,7 +330,7 @@ def _point_csv(draw):
 def test_read_points_matches_frozen_row_loop(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("diff") / "pts.csv"
     path.write_bytes(data)
-    assert _outcome(read_points_csv, path) == _outcome(reference_read_points_csv, path)
+    assert _outcome(read_points_csv, path) == _outcome(reference_with_named_errors, path)
 
 
 def test_read_points_written_file_takes_the_bulk_path(tmp_path, monkeypatch):

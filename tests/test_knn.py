@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knnrex.knn
 from knnrex import BadParams, KTooLarge, build_knn, query_neighbors
 
 FOUR_POINTS = np.array([[0.0], [1.0], [3.0], [7.0]])
@@ -128,6 +129,24 @@ def test_build_and_query_match_oracle_on_tied_grids(case):
     oracle_ids, oracle_dists = brute_force_query(X, q, k + 1)
     assert np.array_equal(ids, oracle_ids)
     assert np.array_equal(dists, oracle_dists)
+    # a batch of queries: q, then every sample point (each coincides with itself)
+    Q = np.vstack([q, X[::-1]])
+    ids, dists = query_neighbors(X, Q, k + 1)
+    assert ids.shape == dists.shape == (len(Q), k + 1)
+    for row, point in enumerate(Q):
+        oracle_ids, oracle_dists = brute_force_query(X, point, k + 1)
+        assert np.array_equal(ids[row], oracle_ids)
+        assert np.array_equal(dists[row], oracle_dists)
+
+
+def test_batch_query_is_the_same_in_chunks(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 4, size=(60, 3)).astype(np.float64)
+    Q = rng.integers(-1, 5, size=(25, 3)).astype(np.float64)
+    whole = query_neighbors(X, Q, 7)
+    monkeypatch.setattr(knnrex.knn, "_CHUNK_BUDGET", 2 * 60 * 3)  # two query rows per chunk
+    chunked = query_neighbors(X, Q, 7)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
 def test_ties_beyond_k_take_the_lower_indices():
