@@ -23,7 +23,7 @@ from .asymptotics import asymptotics_report, linear_model, uniform_model
 from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import BadParams, BadSpec, KnnRexError
-from .estimators import EstimatorConfig, synth_bias_corrected, synthesize
+from .estimators import EstimatorConfig, check_corrected, synth_bias_corrected, synthesize
 from .evaluation import icv_run, icv_sweep, union_hellinger
 from .knn import build_knn
 from .whiten import whiten_apply, whiten_fit, whiten_invert
@@ -200,25 +200,26 @@ def cmd_synthesize(args, phases):
 
 
 def cmd_synthesize_corrected(args, phases):
-    cfg = EstimatorConfig("knn_rex", k=args.k, m=args.m, seed=args.seed)
-    cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
         marginals = read_marginals_csv(args.marginals, args.total)
+    # Reject (k, m) and marginals that do not fit the sample before the
+    # whitening and the O(n^2) index are built.
+    check_corrected(train.values, marginals, args.k, args.m, train.columns)
     transform = index = None
-    if cfg.uses_index:
+    if args.m > 1 and marginals.total > 0:
         with phases.measure("whiten"):
             transform = whiten_fit(train.values)
             train_w = whiten_apply(transform, train.values)
         with phases.measure("index"):
-            index = build_knn(train_w, cfg.k)
+            index = build_knn(train_w, args.k)
     with phases.measure("synthesis"):
         synth = synth_bias_corrected(
             train.values,
             marginals,
-            cfg.k,
-            cfg.m,
+            args.k,
+            args.m,
             rng,
             columns=train.columns,
             round_integers=args.round_integers,

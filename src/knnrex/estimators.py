@@ -314,6 +314,32 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
 
 
+def check_corrected(X, marginals: MarginalSpec, k: int, m: int, columns=None):
+    """Check the inputs of ``synth_bias_corrected`` against each other.
+
+    Returns the sample as a float array, the data column of each marginal
+    variable and, per variable, the bin of every sample row. Raises BadParams
+    for (k, m), BadSpec for a marginal variable missing from ``columns`` and
+    InconsistentMarginals for a sample value outside its variable's bins.
+    """
+    X = _sample(X)
+    _check_rex(k, m)
+    if columns is None:
+        columns = [f"x{i + 1}" for i in range(X.shape[1])]
+    try:
+        var_cols = [list(columns).index(name) for name in marginals.names]
+    except ValueError as exc:
+        raise BadSpec(f"marginal variable not found among columns {list(columns)}: {exc}") from None
+
+    sample_bins = [marginals.bin_of(v, X[:, col]) for v, col in enumerate(var_cols)]
+    for v, bins in enumerate(sample_bins):
+        if np.any(bins < 0):
+            raise InconsistentMarginals(
+                f"variable {marginals.names[v]!r}: sample values fall outside the binned range"
+            )
+    return X, var_cols, sample_bins
+
+
 def synth_bias_corrected(
     X: np.ndarray,
     marginals: MarginalSpec,
@@ -374,24 +400,8 @@ def synth_bias_corrected(
     progress; it carries the partial output and, as its diagnostics, the
     same counters plus the per-variable deficits.
     """
-    X = _sample(X)
+    X, var_cols, sample_bins = check_corrected(X, marginals, k, m, columns)
     n, d = X.shape
-    _check_rex(k, m)
-
-    if columns is None:
-        columns = [f"x{i + 1}" for i in range(d)]
-    try:
-        var_cols = [list(columns).index(name) for name in marginals.names]
-    except ValueError as exc:
-        raise BadSpec(f"marginal variable not found among columns {list(columns)}: {exc}") from None
-
-    sample_bins = [marginals.bin_of(v, X[:, col]) for v, col in enumerate(var_cols)]
-    for v, bins in enumerate(sample_bins):
-        if np.any(bins < 0):
-            raise InconsistentMarginals(
-                f"variable {marginals.names[v]!r}: sample values fall outside the binned range"
-            )
-
     l = marginals.total
     tally = dict.fromkeys(CORRECTED_COUNTERS, 0)
     if l == 0:
@@ -452,15 +462,17 @@ def synth_bias_corrected(
     refill = [RESERVOIR_START] * n_flat
 
     members = [[] for _ in range(n_flat)]  # point keys per flat id
-    # Per point key: coordinates, flat ids and position in each of its
-    # member lists. An evicted point's key goes on the free list for the
-    # next commit, so the ledger holds at most l + 1 keys however long the
-    # loop runs; the output is the live keys in key order.
-    points, point_ids, slots, free = [], [], [], []
+    # Per point key: coordinates (a row of ``points``), flat ids and
+    # position in each of its member lists. An evicted point's key goes on
+    # the free list for the next commit, and a new key is made only when
+    # every key is live, so there are at most l keys however long the loop
+    # runs; the output is the live keys in key order.
+    points = np.empty((l, d))
+    point_ids, slots, free = [], [], []
     placed = 0
 
     def survivors():
-        return np.delete(np.reshape(points, (-1, d)), np.array(free, dtype=np.int64), axis=0)
+        return np.delete(points[: len(point_ids)], np.array(free, dtype=np.int64), axis=0)
 
     def report():
         tally["unused"] = sum(len(ids) - pos for ids, pos in zip(res_ids, res_next))
@@ -494,8 +506,7 @@ def synth_bias_corrected(
             if free:
                 key = free.pop()
             else:
-                key = len(points)
-                points.append(None)
+                key = len(point_ids)
                 point_ids.append(None)
                 slots.append(None)
             slot = []

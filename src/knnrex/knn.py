@@ -72,23 +72,8 @@ def query_neighbors(X: np.ndarray, q: np.ndarray, k: int):
         stop = min(start + chunk, Q.shape[0])
         diff = Q[start:stop, np.newaxis, :] - X[np.newaxis, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        order = _smallest(d2, k)
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
         ids[start:stop] = order
         dists[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return (ids[0], dists[0]) if q.ndim == 1 else (ids, dists)
 
-
-def _smallest(d2, k):
-    """Column ids of the k smallest entries of each row of d2, ascending,
-    ties by lower column: the same columns as a stable argsort's first k.
-
-    Every entry up to a row's k-th smallest value is a candidate, so tied
-    entries at that value all compete; sorting the candidates by (row,
-    value) with a stable sort keeps tied columns in ascending order.
-    """
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.nonzero(d2 <= kth)
-    order = np.lexsort((d2[rows, cols], rows))
-    counts = np.bincount(rows, minlength=d2.shape[0])
-    starts = np.cumsum(counts) - counts
-    return cols[order[starts[:, np.newaxis] + np.arange(k)]]

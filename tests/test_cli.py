@@ -106,6 +106,23 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert "InconsistentMarginals" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("marginals, error", [
+    ("variable,lo,hi,freq\nx9,0,9,5\n", "BadSpec"),
+    ("variable,lo,hi,freq\nx1,5,9,5\n", "InconsistentMarginals"),
+])
+def test_corrected_checks_marginals_before_the_index(tmp_path, capsys, marginals, error):
+    """A constant column cannot be whitened, and k = 8 is too large for four
+    points; the marginals that do not fit the sample are named first."""
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2\n1,3\n2,3\n3,3\n4,3\n")
+    marg = tmp_path / "marg.csv"
+    marg.write_text(marginals)
+    code = run_cli(["synthesize-corrected", "--k", "8", "--m", "2", "--total", "5",
+                    "--marginals", str(marg), "--in", str(train), "--out", str(tmp_path / "y.csv")])
+    assert code == 1
+    assert error in capsys.readouterr().err
+
+
 def test_non_finite_input_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x1,x2\n0.5,1.5\n1.0,2.0\nnan,inf\n2.0,0.5\n")
