@@ -22,8 +22,14 @@ from . import __version__
 from .asymptotics import asymptotics_report, linear_model, uniform_model
 from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
-from .errors import BadParams, BadSpec, KnnRexError
-from .estimators import EstimatorConfig, check_corrected, synth_bias_corrected, synthesize
+from .errors import BadParams, BadSpec, KnnRexError, StallLimit
+from .estimators import (
+    CORRECTED_COUNTERS,
+    EstimatorConfig,
+    check_corrected,
+    synth_bias_corrected,
+    synthesize,
+)
 from .evaluation import icv_run, icv_sweep, union_hellinger
 from .knn import build_knn
 from .whiten import whiten_apply, whiten_fit, whiten_invert
@@ -439,6 +445,11 @@ def main(argv=None) -> int:
         _write_output(args, phases, args.func(args, phases))
     except KnnRexError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, StallLimit):  # what the loop did, and what is still missing
+            for name in CORRECTED_COUNTERS:
+                print(f"count_{name}: {exc.diagnostics[name]}", file=sys.stderr)
+            for name, deficit in exc.diagnostics["deficits"].items():
+                print(f"deficit_{name}: {deficit}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,19 @@
 """Exact k-nearest neighbors by naive all-pairs distances.
 
-The build is the O(d n^2) hot path of the whole pipeline; it works on row
-chunks to bound memory. Squared distances are used internally and distance
-ties are broken by ascending point index (stable sort), so results are
-deterministic and match a brute-force oracle exactly.
+The build is the O(d n^2) hot path of the whole pipeline. The build and the
+query share one core that works on row chunks to bound memory. Squared
+distances are used internally and distance ties are broken by ascending
+point index, so results are deterministic and match a brute-force oracle
+exactly: every row holds the first k entries of a stable sort of its
+distances.
+
+The core selects rather than sorts. ``argpartition`` (introselect, O(n) per
+row) finds k candidates; sorted by id and then stably by distance, they
+keep the lower-index tie rule. A row's candidates are its k nearest only
+when the largest of them is strictly below the (k+1)-th smallest distance.
+A row with a tie at that boundary, such as integer-coded data often gives,
+falls back to the full stable sort, as does a query with k equal to the
+sample size.
 """
 
 from dataclasses import dataclass
@@ -25,26 +35,50 @@ class KnnIndex:
     dists: np.ndarray  # (n, k) float64
 
 
+def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of the k smallest entries of each row of d2, by ascending
+    value, ties by lower id: the first k columns of a stable argsort."""
+    if k == d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    part = np.argpartition(d2, k, axis=1)
+    cand = np.sort(part[:, :k], axis=1)
+    cand_d2 = np.take_along_axis(d2, cand, axis=1)
+    order = np.take_along_axis(cand, np.argsort(cand_d2, axis=1, kind="stable"), axis=1)
+    # max < next is False for a tie at the boundary, and for any NaN
+    tied = ~(cand_d2.max(axis=1) < np.take_along_axis(d2, part[:, k : k + 1], axis=1)[:, 0])
+    if tied.any():
+        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return order
+
+
+def _nearest(X: np.ndarray, Q: np.ndarray, k: int, exclude_self: bool):
+    """(ids, dists) of the k nearest rows of X to each row of Q. With
+    ``exclude_self``, Q is X and row i never lists point i."""
+    n, d = X.shape
+    ids = np.empty((Q.shape[0], k), dtype=np.int64)
+    dists = np.empty((Q.shape[0], k), dtype=np.float64)
+    chunk = max(1, _CHUNK_BUDGET // (n * d))
+    for start in range(0, Q.shape[0], chunk):
+        stop = min(start + chunk, Q.shape[0])
+        diff = Q[start:stop, np.newaxis, :] - X[np.newaxis, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        if exclude_self:
+            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        order = _k_smallest(d2, k)
+        ids[start:stop] = order
+        dists[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    return ids, dists
+
+
 def build_knn(X: np.ndarray, k: int) -> KnnIndex:
     """Compute the exact k nearest neighbors of every row of X (self excluded)."""
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
+    n = X.shape[0]
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLarge(f"k = {k} but only {n - 1} other points exist")
-
-    ids = np.empty((n, k), dtype=np.int64)
-    dists = np.empty((n, k), dtype=np.float64)
-    chunk = max(1, _CHUNK_BUDGET // (n * d))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = X[start:stop, np.newaxis, :] - X[np.newaxis, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        ids[start:stop] = order
-        dists[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    ids, dists = _nearest(X, X, k, exclude_self=True)
     return KnnIndex(k=k, ids=ids, dists=dists)
 
 
@@ -59,21 +93,10 @@ def query_neighbors(X: np.ndarray, q: np.ndarray, k: int):
     """
     X = np.asarray(X, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    n, d = X.shape
+    n = X.shape[0]
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k = {k} but only {n} points exist")
-    Q = np.atleast_2d(q)
-    ids = np.empty((Q.shape[0], k), dtype=np.int64)
-    dists = np.empty((Q.shape[0], k), dtype=np.float64)
-    chunk = max(1, _CHUNK_BUDGET // (n * d))
-    for start in range(0, Q.shape[0], chunk):
-        stop = min(start + chunk, Q.shape[0])
-        diff = Q[start:stop, np.newaxis, :] - X[np.newaxis, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        ids[start:stop] = order
-        dists[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    ids, dists = _nearest(X, np.atleast_2d(q), k, exclude_self=False)
     return (ids[0], dists[0]) if q.ndim == 1 else (ids, dists)
-

@@ -10,7 +10,7 @@ import pytest
 import knnrex.evaluation
 from knnrex.cli import _resolve_config, build_parser
 from knnrex.cli import main as cli_main
-from knnrex.estimators import CORRECTED_COUNTERS, EstimatorConfig
+from knnrex.estimators import CORRECTED_COUNTERS, STALL_FACTOR, EstimatorConfig
 
 from golden_cases import CASES, GOLDEN_DIR, run_case, strip_timings
 
@@ -121,6 +121,44 @@ def test_corrected_checks_marginals_before_the_index(tmp_path, capsys, marginals
                     "--marginals", str(marg), "--in", str(train), "--out", str(tmp_path / "y.csv")])
     assert code == 1
     assert error in capsys.readouterr().err
+
+
+def test_stalled_corrected_run_prints_its_counters_and_deficits(tmp_path, capsys):
+    """Every output coordinate is rounded to an integer, so the x1 bin
+    [1.4, 1.6) can never be filled: the run stalls with 2 of x1 missing."""
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2\n1.0,0.2\n1.1,0.5\n0.9,0.8\n1.2,0.3\n1.5,0.6\n1.45,0.1\n1.55,0.9\n")
+    marg = tmp_path / "marg.csv"
+    marg.write_text("variable,lo,hi,freq\nx1,0.6,1.4,4\nx1,1.4,1.6,2\nx2,-0.5,0.5,3\nx2,0.5,1.5,3\n")
+    out = tmp_path / "y.csv"
+    code = run_cli(["synthesize-corrected", "--k", "0", "--m", "1", "--round-integers",
+                    "--total", "6", "--marginals", str(marg), "--in", str(train), "--out", str(out)])
+    assert code == 1
+    first, *lines = capsys.readouterr().err.splitlines()
+    assert first.startswith("error: StallLimit: no net progress")
+    fields = dict(line.split(": ", 1) for line in lines)
+    assert list(fields) == [f"count_{c}" for c in CORRECTED_COUNTERS] + ["deficit_x1", "deficit_x2"]
+    assert fields["count_peak_stall"] == str(STALL_FACTOR * 6)
+    assert fields["deficit_x1"] == "2"
+    assert not out.exists() and not (tmp_path / "y.csv.manifest.txt").exists()
+
+
+def test_synthesize_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "swissroll", "--n", "2000", "--seed", "5",
+                    "--out", str(train)]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pop{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(knnrex.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-m", "knnrex.cli", "synthesize", "--method",
+                              "knn-rex", "--k", "30", "--m", "3", "--l", "20000", "--seed", "9",
+                              "--in", str(train), "--out", str(out)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_non_finite_input_exit_1(tmp_path, capsys):

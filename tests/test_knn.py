@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,3 +160,75 @@ def test_ties_beyond_k_take_the_lower_indices():
     assert list(index.ids[5]) == [1, 0, 2]  # its duplicate 1, then the origin, then 2
     ids, dists = query_neighbors(X, np.zeros(2), 4)
     assert list(ids) == [0, 1, 2, 3] and list(dists) == [0.0, 1.0, 1.0, 1.0]
+
+
+def sorted_chunk_reference(X, Q, k, exclude_self):
+    """Byte-identity reference for the k-NN core, in one chunk: the same
+    difference tensor and einsum, then the first k columns of a full stable
+    argsort of every row, with no selection step."""
+    diff = Q[:, np.newaxis, :] - X[np.newaxis, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if exclude_self:
+        d2[np.arange(len(Q)), np.arange(len(Q))] = np.inf
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return order, np.sqrt(np.take_along_axis(d2, order, axis=1))
+
+
+@st.composite
+def _core_case(draw):
+    """A sample X and a batch Q, either normal floats (no ties: rows take the
+    partition branch) or a small integer grid times a power of two (ties at
+    the k boundary: rows take the full-sort fallback); a build k in
+    [1, n - 1], a query k in [1, n], and a chunk budget from one row per
+    chunk up to the default."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X, Q = rng.normal(size=(n, d)), rng.normal(size=(s, d))
+    else:
+        span = draw(st.integers(0, 3))
+        scale = 2.0 ** draw(st.integers(-4, 4))
+        X = rng.integers(-span, span + 1, size=(n, d)) * scale
+        Q = rng.integers(-span, span + 1, size=(s, d)) * scale
+    budget = draw(st.sampled_from([n * d, 3 * n * d, knnrex.knn._CHUNK_BUDGET]))
+    return X, Q, draw(st.integers(1, n - 1)), draw(st.integers(1, n)), budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(_core_case())
+def test_build_and_query_equal_the_sorted_reference(case):
+    X, Q, k, kq, budget = case
+    with mock.patch.object(knnrex.knn, "_CHUNK_BUDGET", budget):
+        index = build_knn(X, k)
+        ids, dists = query_neighbors(X, Q, kq)
+    ref_ids, ref_dists = sorted_chunk_reference(X, X, k, exclude_self=True)
+    assert np.array_equal(index.ids, ref_ids) and np.array_equal(index.dists, ref_dists)
+    ref_ids, ref_dists = sorted_chunk_reference(X, Q, kq, exclude_self=False)
+    assert np.array_equal(ids, ref_ids) and np.array_equal(dists, ref_dists)
+
+
+def test_build_with_k_n_minus_1_ranks_every_other_point():
+    # the (k+1)-th smallest of every row is the excluded self, at infinity
+    X = np.random.default_rng(5).normal(size=(9, 2))
+    index = build_knn(X, 8)
+    ref_ids, ref_dists = sorted_chunk_reference(X, X, 8, exclude_self=True)
+    assert np.array_equal(index.ids, ref_ids) and np.array_equal(index.dists, ref_dists)
+
+
+def test_query_with_k_n_sorts_every_point():
+    X = np.random.default_rng(6).normal(size=(9, 2))
+    Q = np.random.default_rng(7).normal(size=(4, 2))
+    ids, dists = query_neighbors(X, Q, 9)
+    ref_ids, ref_dists = sorted_chunk_reference(X, Q, 9, exclude_self=False)
+    assert np.array_equal(ids, ref_ids) and np.array_equal(dists, ref_dists)
+    assert all(sorted(row) == list(range(9)) for row in ids)
+
+
+def test_tie_at_the_k_boundary_goes_to_the_lower_index():
+    # squared distances to the origin: 4 1 4 0 1 4 4 1. The 3rd and 4th
+    # smallest are both 1, at ids 4 and 7; a bare argpartition can keep 7.
+    X = np.array([[2], [1], [-2], [0], [-1], [2], [-2], [1]], dtype=np.float64)
+    ids, dists = query_neighbors(X, np.zeros(1), 3)
+    assert list(ids) == [3, 1, 4] and list(dists) == [0.0, 1.0, 1.0]
