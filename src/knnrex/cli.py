@@ -214,7 +214,7 @@ def cmd_synthesize_corrected(args, phases):
     # whitening and the O(n^2) index are built.
     check_corrected(train.values, marginals, args.k, args.m, train.columns)
     transform = index = None
-    if args.m > 1 and marginals.total > 0:
+    if args.m > 1:
         with phases.measure("whiten"):
             transform = whiten_fit(train.values)
             train_w = whiten_apply(transform, train.values)

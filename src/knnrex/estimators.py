@@ -24,7 +24,7 @@ the caller's generator, so a seed pins the output exactly.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +49,9 @@ DEFAULT_CHUNK = 8192
 # point without net progress.
 STALL_FACTOR = 50
 
-# Proposals drawn by the first refill of a bias-corrected bin's reservoir;
-# each later refill of the same bin draws twice as many, up to the cap.
+# Proposals drawn by the first batch of a bias-corrected bin's proposal
+# stream; each later batch of the same stream draws twice as many, up to
+# the cap.
 RESERVOIR_START = 32
 RESERVOIR_CAP = 4096
 
@@ -115,10 +116,6 @@ class EstimatorConfig:
     def uses_index(self) -> bool:
         """Whether synthesis reads a k-NN index of the training sample."""
         return self.method == "bmp" or (self.method == "knn_rex" and self.m > 1)
-
-    def echo(self) -> dict:
-        """Stable key/value view for reports and manifests, in field order."""
-        return asdict(self)
 
 
 def synthesize(
@@ -372,29 +369,30 @@ def synth_bias_corrected(
     then the lower bin. Each bin keeps its members in a list with
     swap-removal, and an eviction picks a uniform position in that list.
 
-    Proposals come from one reservoir per flat id. When the loop picks bin
-    f and f's reservoir is empty, it refills it in one vectorised step:
-    seeds and neighbor picks for the whole batch, one (s, m, d) KCS stack
-    through ``rex_batch``, one ``whiten_invert`` and one
-    ``MarginalSpec.bin_of`` call per variable. The first refill of a bin
+    Proposals come from one stream per flat id, a generator that draws them
+    in batches and yields them one per iteration in draw order. A batch is
+    one vectorised step: seeds and neighbor picks for the whole batch, one
+    (s, m, d) KCS stack through ``rex_batch``, one ``whiten_invert`` and
+    one ``MarginalSpec.bin_of`` call per variable. A stream's first batch
     draws ``RESERVOIR_START`` proposals and each later one twice as many as
-    the last, up to ``RESERVOIR_CAP``. The loop then takes f's proposals in
-    draw order, one per iteration. This is the one-proposal-per-iteration
-    method in law: given f, a proposal depends only on f's pool (or f's
-    uniform branch) and the sample, never on the counts or members the
-    ledger changes, so proposals seeded in f are i.i.d. whenever they are
-    drawn. Drawing them ahead only reorders the random stream, so a seed
-    gives a different population than the former per-proposal loop did.
+    the last, up to ``RESERVOIR_CAP``; the next batch is drawn only when
+    the loop asks for a proposal the last one cannot give. This is the
+    one-proposal-per-iteration method in law: given f, a proposal depends
+    only on f's pool (or f's uniform branch) and the sample, never on the
+    counts or members the ledger changes, so proposals seeded in f are
+    i.i.d. whenever they are drawn. Drawing them ahead only reorders the
+    random stream, so a seed gives a different population than a
+    per-proposal loop would.
 
     ``transform`` (a whitening fitted to X) and ``index`` (a k-NN index of
     the whitened X at this k) may be passed to keep those phases out of
     synthesis timings; without them the function builds its own when
-    m > 1. When ``round_integers`` is set, coordinates are rounded
-    half-away-from-zero after the map back to original units, before bin
-    membership is tested. A ``counters`` dict receives, in place, the
-    counts of iterations (proposals taken), proposals drawn, proposals left
-    unused in the reservoirs, out-of-range rejections, evictions,
-    uniform-branch seeds drawn and the peak stall.
+    m > 1 and the total is above 0. When ``round_integers`` is set,
+    coordinates are rounded half-away-from-zero after the map back to
+    original units, before bin membership is tested. A ``counters`` dict
+    receives, in place, the counts of iterations (proposals taken),
+    proposals drawn, proposals drawn but never taken, out-of-range
+    rejections, evictions, uniform-branch seeds drawn and the peak stall.
 
     Raises StallLimit after ``STALL_FACTOR * l`` iterations without net
     progress; it carries the partial output and, as its diagnostics, the
@@ -404,12 +402,8 @@ def synth_bias_corrected(
     n, d = X.shape
     l = marginals.total
     tally = dict.fromkeys(CORRECTED_COUNTERS, 0)
-    if l == 0:
-        if counters is not None:
-            counters.update(tally)
-        return np.empty((0, d))
 
-    needs_kernel = m > 1
+    needs_kernel = m > 1 and l > 0
     if needs_kernel:
         if transform is None:
             transform = whiten_fit(X)
@@ -429,8 +423,9 @@ def synth_bias_corrected(
     pools = [np.flatnonzero(bins == b) for bins, size in zip(sample_bins, sizes) for b in range(size)]
 
     def propose(f, size):
-        """``size`` proposals seeded in bin f: their points and, per point,
-        its flat id in each variable, or -1s when it is out of range."""
+        """``size`` proposals seeded in bin f: each one's point and, per
+        variable, its flat id, or -1s when it is out of range."""
+        tally["proposals"] += size
         pool = pools[f]
         if pool.size > 0:
             seed_ids = pool[rng.integers(pool.size, size=size)]
@@ -438,6 +433,7 @@ def synth_bias_corrected(
             if needs_kernel:
                 seeds_w, neighbors = Xw[seed_ids], index.ids[seed_ids]
         else:
+            tally["uniform_seeds"] += size
             Y = mins + spans * rng.random((size, d))
             Y[:, flat_cols[f]] = lows[f] + (highs[f] - lows[f]) * rng.random(size)
             if needs_kernel:
@@ -452,70 +448,45 @@ def synth_bias_corrected(
             Y = _round_half_away(Y)
         bins = np.column_stack([marginals.bin_of(v, Y[:, col]) for v, col in enumerate(var_cols)])
         ids = np.where((bins >= 0).all(axis=1, keepdims=True), bins + offsets[:-1], -1)
-        return Y, ids.tolist()
+        return zip(Y, ids.tolist())
 
-    # Per flat id: reservoir points, their flat-id rows, the next row to
-    # take, and the size of the next refill.
-    res_points = [None] * n_flat
-    res_ids = [[] for _ in range(n_flat)]
-    res_next = [0] * n_flat
-    refill = [RESERVOIR_START] * n_flat
+    def stream(f):
+        # A batch's temporaries (the KCS stack, neighbor ids) die with
+        # ``propose``; the stream holds only the rows still to be taken.
+        size = RESERVOIR_START
+        while True:
+            yield from propose(f, size)
+            size = min(2 * size, RESERVOIR_CAP)
 
+    streams = [stream(f) for f in range(n_flat)]
     members = [[] for _ in range(n_flat)]  # point keys per flat id
     # Per point key: coordinates (a row of ``points``), flat ids and
     # position in each of its member lists. An evicted point's key goes on
-    # the free list for the next commit, and a new key is made only when
-    # every key is live, so there are at most l keys however long the loop
-    # runs; the output is the live keys in key order.
+    # the free list for the next commit. With the free list empty, keys
+    # 0 .. placed-1 are all live, so the next new key is ``placed``; there
+    # are at most l keys however long the loop runs, and the output is the
+    # live keys in key order.
     points = np.empty((l, d))
-    point_ids, slots, free = [], [], []
+    point_ids, slots, free = [None] * l, [None] * l, []
     placed = 0
-
-    def survivors():
-        return np.delete(points[: len(point_ids)], np.array(free, dtype=np.int64), axis=0)
-
-    def report():
-        tally["unused"] = sum(len(ids) - pos for ids, pos in zip(res_ids, res_next))
-        if counters is not None:
-            counters.update(tally)
-        return tally
-
     stall = 0
     best_fill = 0
     cap = STALL_FACTOR * l
 
-    while placed < l:
+    while placed < l and stall < cap:
         tally["iterations"] += 1
-
-        f = vacancy.index(max(vacancy))
-        pos = res_next[f]
-        if pos == len(res_ids[f]):
-            size = refill[f]
-            refill[f] = min(2 * size, RESERVOIR_CAP)
-            res_points[f], res_ids[f] = propose(f, size)
-            tally["proposals"] += size
-            if pools[f].size == 0:
-                tally["uniform_seeds"] += size
-            pos = 0
-        res_next[f] = pos + 1
-
-        ids = res_ids[f][pos]
+        point, ids = next(streams[vacancy.index(max(vacancy))])
         if ids[0] < 0:
             tally["rejected"] += 1
         else:
-            if free:
-                key = free.pop()
-            else:
-                key = len(point_ids)
-                point_ids.append(None)
-                slots.append(None)
+            key = free.pop() if free else placed
             slot = []
             for g in ids:
                 vacancy[g] -= 1
                 bucket = members[g]
                 slot.append(len(bucket))
                 bucket.append(key)
-            points[key] = res_points[f][pos]
+            points[key] = point
             point_ids[key] = ids
             slots[key] = slot
             placed += 1
@@ -541,19 +512,20 @@ def synth_bias_corrected(
         else:
             stall += 1
             tally["peak_stall"] = max(tally["peak_stall"], stall)
-            if stall >= cap:
-                deficits = np.add.reduceat(vacancy, offsets[:-1]).tolist()
-                raise StallLimit(
-                    f"no net progress for {stall} iterations ({placed}/{l} points placed)",
-                    partial=survivors(),
-                    diagnostics={
-                        **report(),
-                        "deficits": dict(zip(map(str, marginals.names), deficits)),
-                    },
-                )
 
-    report()
-    return survivors()
+    tally["unused"] = tally["proposals"] - tally["iterations"]  # each iteration takes one
+    if counters is not None:
+        counters.update(tally)
+    # every key made so far is live or on the free list
+    out = np.delete(points[: placed + len(free)], np.array(free, dtype=np.int64), axis=0)
+    if placed < l:
+        deficits = np.add.reduceat(vacancy, offsets[:-1]).tolist()
+        raise StallLimit(
+            f"no net progress for {stall} iterations ({placed}/{l} points placed)",
+            partial=out,
+            diagnostics={**tally, "deficits": dict(zip(map(str, marginals.names), deficits))},
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,8 @@ def make_binning(data: np.ndarray, bins_per_dim: int) -> BinningSpec:
     edges = []
     for j in range(data.shape[1]):
         lo, hi = float(data[:, j].min()), float(data[:, j].max())
+        if not math.isfinite(hi - lo):
+            raise BadParams(f"column {j}: range {lo!r} .. {hi!r} overflows float64")
         if hi > lo:
             edges.append(np.linspace(lo, hi, bins_per_dim + 1))
         else:
@@ -299,7 +301,7 @@ def icv_sweep(
         baselines[cfg.seed] = bases
         reports.append(
             IcvReport(
-                config=cfg.echo(),
+                config=asdict(cfg),
                 folds=folds,
                 bins_per_dim=bins_per_dim,
                 n_used=used,

@@ -43,9 +43,15 @@ def whiten_fit(X: np.ndarray) -> WhitenTransform:
     if n < d + 1:
         raise TooFewPoints(f"need at least d+1 = {d + 1} points, got {n}")
 
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        cov = centered.T @ centered / n
+    if not np.isfinite(cov).all():
+        raise SingularCovariance(
+            "sample covariance overflows float64 (or the sample is not finite); "
+            "rescale the data"
+        )
 
     w, q = np.linalg.eigh(cov)
     if w[-1] <= 0.0 or w[0] <= _EIG_RTOL * w[-1]:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,19 @@ from knnrex import (
     gen_gmm,
     synth_bias_corrected,
 )
-from knnrex.estimators import CORRECTED_COUNTERS, RESERVOIR_START, STALL_FACTOR
+from knnrex import estimators
+from knnrex.estimators import (
+    CORRECTED_COUNTERS,
+    RESERVOIR_CAP,
+    RESERVOIR_START,
+    STALL_FACTOR,
+    _pick_neighbors,
+    _round_half_away,
+    check_corrected,
+)
+from knnrex.kernels import rex_batch
+from knnrex.knn import build_knn, query_neighbors
+from knnrex.whiten import whiten_apply, whiten_fit, whiten_invert
 
 
 def histogram_oracle(values, edges):
@@ -297,3 +311,220 @@ def test_ties_go_to_the_first_flat_id(empty_first):
     assert edges[0] <= out[0, 0] < edges[1]  # the first output row comes from flat id 0
     assert counters["uniform_seeds"] == RESERVOIR_START
     assert counters["iterations"] == 2 and counters["proposals"] == 2 * RESERVOIR_START
+
+
+def reservoir_reference(
+    X, marginals, k, m, rng, columns=None, round_integers=False, transform=None, index=None,
+    counters=None,
+):
+    """Frozen copy of the marginal-exact loop that kept each bin's proposals
+    in parallel reservoir lists refilled in the hot loop, with an early
+    return for total 0 and the stall raised from inside the loop. The
+    stream-based loop must reproduce it byte for byte."""
+    X, var_cols, sample_bins = check_corrected(X, marginals, k, m, columns)
+    n, d = X.shape
+    l = marginals.total
+    tally = dict.fromkeys(CORRECTED_COUNTERS, 0)
+    if l == 0:
+        if counters is not None:
+            counters.update(tally)
+        return np.empty((0, d))
+
+    needs_kernel = m > 1
+    if needs_kernel:
+        if transform is None:
+            transform = whiten_fit(X)
+        Xw = whiten_apply(transform, X)
+        if index is None:
+            index = build_knn(Xw, k)
+    mins = X.min(axis=0)
+    spans = X.max(axis=0) - mins
+
+    sizes = [freq.size for freq in marginals.freqs]
+    offsets = np.cumsum([0, *sizes])
+    flat_cols = np.repeat(var_cols, sizes).tolist()  # data column per flat id
+    vacancy = np.concatenate(marginals.freqs).tolist()
+    n_flat = len(vacancy)
+    lows = np.concatenate([e[:-1] for e in marginals.edges])
+    highs = np.concatenate([e[1:] for e in marginals.edges])
+    pools = [np.flatnonzero(bins == b) for bins, size in zip(sample_bins, sizes) for b in range(size)]
+
+    def propose(f, size):
+        """``size`` proposals seeded in bin f: their points and, per point,
+        its flat id in each variable, or -1s when it is out of range."""
+        pool = pools[f]
+        if pool.size > 0:
+            seed_ids = pool[rng.integers(pool.size, size=size)]
+            Y = X[seed_ids]
+            if needs_kernel:
+                seeds_w, neighbors = Xw[seed_ids], index.ids[seed_ids]
+        else:
+            Y = mins + spans * rng.random((size, d))
+            Y[:, flat_cols[f]] = lows[f] + (highs[f] - lows[f]) * rng.random(size)
+            if needs_kernel:
+                seeds_w = whiten_apply(transform, Y)
+                neighbors, _ = query_neighbors(Xw, seeds_w, k)
+        if needs_kernel:
+            kcs = np.empty((size, m, d))
+            kcs[:, 0] = seeds_w
+            kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng)]
+            Y = whiten_invert(transform, rex_batch(kcs, rng))
+        if round_integers:
+            Y = _round_half_away(Y)
+        bins = np.column_stack([marginals.bin_of(v, Y[:, col]) for v, col in enumerate(var_cols)])
+        ids = np.where((bins >= 0).all(axis=1, keepdims=True), bins + offsets[:-1], -1)
+        return Y, ids.tolist()
+
+    # Per flat id: reservoir points, their flat-id rows, the next row to
+    # take, and the size of the next refill.
+    res_points = [None] * n_flat
+    res_ids = [[] for _ in range(n_flat)]
+    res_next = [0] * n_flat
+    refill = [RESERVOIR_START] * n_flat
+
+    members = [[] for _ in range(n_flat)]  # point keys per flat id
+    # Per point key: coordinates (a row of ``points``), flat ids and
+    # position in each of its member lists. An evicted point's key goes on
+    # the free list for the next commit, and a new key is made only when
+    # every key is live, so there are at most l keys however long the loop
+    # runs; the output is the live keys in key order.
+    points = np.empty((l, d))
+    point_ids, slots, free = [], [], []
+    placed = 0
+
+    def survivors():
+        return np.delete(points[: len(point_ids)], np.array(free, dtype=np.int64), axis=0)
+
+    def report():
+        tally["unused"] = sum(len(ids) - pos for ids, pos in zip(res_ids, res_next))
+        if counters is not None:
+            counters.update(tally)
+        return tally
+
+    stall = 0
+    best_fill = 0
+    cap = STALL_FACTOR * l
+
+    while placed < l:
+        tally["iterations"] += 1
+
+        f = vacancy.index(max(vacancy))
+        pos = res_next[f]
+        if pos == len(res_ids[f]):
+            size = refill[f]
+            refill[f] = min(2 * size, RESERVOIR_CAP)
+            res_points[f], res_ids[f] = propose(f, size)
+            tally["proposals"] += size
+            if pools[f].size == 0:
+                tally["uniform_seeds"] += size
+            pos = 0
+        res_next[f] = pos + 1
+
+        ids = res_ids[f][pos]
+        if ids[0] < 0:
+            tally["rejected"] += 1
+        else:
+            if free:
+                key = free.pop()
+            else:
+                key = len(point_ids)
+                point_ids.append(None)
+                slots.append(None)
+            slot = []
+            for g in ids:
+                vacancy[g] -= 1
+                bucket = members[g]
+                slot.append(len(bucket))
+                bucket.append(key)
+            points[key] = res_points[f][pos]
+            point_ids[key] = ids
+            slots[key] = slot
+            placed += 1
+            # Drain any bin the new point overfilled; eviction frees the
+            # victim's bins across all variables, so vacancies only go up.
+            for g in ids:
+                if vacancy[g] < 0:
+                    bucket = members[g]
+                    victim = bucket[rng.integers(len(bucket))]
+                    for v, h in enumerate(point_ids[victim]):
+                        vacancy[h] += 1
+                        last = members[h].pop()
+                        if last != victim:
+                            members[h][slots[victim][v]] = last
+                            slots[last][v] = slots[victim][v]
+                    free.append(victim)
+                    placed -= 1
+                    tally["evictions"] += 1
+
+        if placed > best_fill:
+            best_fill = placed
+            stall = 0
+        else:
+            stall += 1
+            tally["peak_stall"] = max(tally["peak_stall"], stall)
+            if stall >= cap:
+                deficits = np.add.reduceat(vacancy, offsets[:-1]).tolist()
+                raise StallLimit(
+                    f"no net progress for {stall} iterations ({placed}/{l} points placed)",
+                    partial=survivors(),
+                    diagnostics={
+                        **report(),
+                        "deficits": dict(zip(map(str, marginals.names), deficits)),
+                    },
+                )
+
+    report()
+    return survivors()
+
+
+def _outcome(synth, X, marg, k, m, round_integers, seed):
+    """What one run shows: output bytes and counters, the StallLimit's
+    message, partial and diagnostics, or the refusal; and the state the
+    generator is left in."""
+    rng = np.random.default_rng(seed)
+    counters = {}
+    try:
+        out = synth(X, marg, k, m, rng, round_integers=round_integers, counters=counters)
+        result = ("ok", out.shape, out.tobytes(), counters)
+    except StallLimit as exc:
+        result = ("stall", str(exc), exc.partial.shape, exc.partial.tobytes(), exc.diagnostics, counters)
+    except KnnRexError as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corrected_case(), st.sampled_from([None, (1, 1), (2, 8)]))
+def test_streams_reproduce_the_reservoir_loop(case, batches):
+    # Totals stay small, so with the shipped batch sizes no stream leaves its
+    # first batch or two; smaller (start, cap) pairs send them past the cap.
+    with pytest.MonkeyPatch.context() as mp:
+        if batches is not None:
+            for module in (estimators, sys.modules[__name__]):
+                mp.setattr(module, "RESERVOIR_START", batches[0])
+                mp.setattr(module, "RESERVOIR_CAP", batches[1])
+        assert _outcome(synth_bias_corrected, *case) == _outcome(reservoir_reference, *case)
+
+
+def test_streams_reproduce_the_reservoir_loop_at_the_shipped_cap():
+    # One bin demanding 3 * RESERVOIR_CAP points: its stream doubles from
+    # RESERVOIR_START up to the cap, then draws two more batches at the cap.
+    X = gmm_fixture(n=300, seed=13)
+    marg = marginals_from_sample(X, [1], 3 * RESERVOIR_CAP)
+    new, ref = (_outcome(synth, X, marg, 10, 3, False, 14) for synth in (synth_bias_corrected, reservoir_reference))
+    assert new == ref
+    doubling = RESERVOIR_START * (2 * RESERVOIR_CAP // RESERVOIR_START - 1)  # START + ... + CAP
+    assert new[0][-1]["proposals"] == doubling + 2 * RESERVOIR_CAP
+
+
+def test_total_zero_skips_the_kernel():
+    # n < d + 1 cannot be whitened, but a total of 0 needs no kernel, so it
+    # returns an empty population with every counter at 0, as before.
+    X = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    marg = MarginalSpec(names=("x1",), edges=(np.asarray([0.0, 1.0]),), freqs=(np.asarray([0]),), total=0)
+    counters = {}
+    out = synth_bias_corrected(X, marg, k=1, m=2, rng=np.random.default_rng(0), counters=counters)
+    assert out.shape == (0, 3)
+    assert counters == dict.fromkeys(CORRECTED_COUNTERS, 0)
+    assert _outcome(synth_bias_corrected, X, marg, 1, 2, False, 0) == _outcome(
+        reservoir_reference, X, marg, 1, 2, False, 0)

@@ -393,6 +393,8 @@ MALFORMED = [
      "BadParams: gen-data --dataset swissroll takes no --spec (gmm only)"),
     (["validate-asymptotics", "--slope", "99", "--samples", "100"], 1,
      "BadParams: validate-asymptotics --density uniform takes no --slope (linear only)"),
+    (["synthesize", "--method", "knn-rex", "--k", "2", "--m", "2", "--l", "5", "--in", "{huge}"], 1,
+     "SingularCovariance: sample covariance overflows float64"),
 ]
 
 
@@ -400,12 +402,14 @@ MALFORMED = [
 def point_sets(tmp_path_factory):
     root = tmp_path_factory.mktemp("points")
     paths = {"ring": root / "ring.csv", "swiss": root / "swiss.csv", "missing": root / "no.csv",
-             "inf_hi": root / "inf_hi.csv", "inf_lo": root / "inf_lo.csv"}
+             "inf_hi": root / "inf_hi.csv", "inf_lo": root / "inf_lo.csv", "huge": root / "huge.csv"}
     for dataset, name in (("ring", "ring"), ("swissroll", "swiss")):
         assert run_cli(["gen-data", "--dataset", dataset, "--n", "40", "--seed", "0",
                         "--out", str(paths[name])]) == 0
     paths["inf_hi"].write_text("variable,lo,hi,freq\nx1,-5,5,0\nx1,5,inf,10\n")
     paths["inf_lo"].write_text("variable,lo,hi,freq\nx1,-inf,-5,10\nx1,-5,5,0\n")
+    # finite values whose covariance overflows float64
+    paths["huge"].write_text("x1,x2\n1e200,-2e200\n-3e200,1e200\n2e200,3e200\n-1e200,-1e200\n")
     return paths
 
 
@@ -417,7 +421,7 @@ def test_malformed_invocations_get_a_diagnostic(tmp_path, point_sets, argv, code
     run = subprocess.run([sys.executable, "-m", "knnrex.cli", *argv],
                          capture_output=True, text=True, env=env)
     assert run.returncode == code
-    assert "Traceback" not in run.stderr
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
     assert message in run.stderr
     assert not out.exists() and not (tmp_path / "out.txt.manifest.txt").exists()
 

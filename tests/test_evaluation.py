@@ -93,6 +93,9 @@ def test_make_binning_errors():
         make_binning(np.empty((0, 2)), 3)
     with pytest.raises(BadParams):
         make_binning(np.zeros((3, 2)), 0)
+    # a range past float64 would give nan and inf edges, not a binning
+    with pytest.raises(BadParams, match="column 1: range -1.7e\\+308 .. 1.7e\\+308 overflows"):
+        make_binning(np.array([[0.0, -1.7e308], [1.0, 1.7e308], [2.0, 0.0]]), 4)
 
 
 # ---------------------------------------------------------------------------

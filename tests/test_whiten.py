@@ -42,6 +42,17 @@ def test_constant_column_is_singular():
         whiten_fit(X)
 
 
+def test_overflowing_covariance_is_refused_without_a_warning():
+    # Every value is finite, but centered products near 1e400 overflow; the
+    # overflow must neither warn nor reach the caller as a NaN transform.
+    X = np.array([[1e200, -2e200], [-3e200, 1e200], [2e200, 3e200], [-1e200, -1e200]])
+    with pytest.raises(SingularCovariance, match="sample covariance overflows float64"):
+        whiten_fit(X)
+    # The same shape at a scale whose covariance fits float64 still whitens.
+    t = whiten_fit(X * 1e-60)
+    assert np.isfinite(t.forward).all() and np.isfinite(t.inverse).all()
+
+
 def test_too_few_points():
     with pytest.raises(TooFewPoints):
         whiten_fit(np.zeros((3, 3)))
