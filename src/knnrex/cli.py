@@ -23,16 +23,8 @@ from .asymptotics import asymptotics_report, linear_model, uniform_model
 from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import BadParams, BadSpec, KnnRexError, StallLimit
-from .estimators import (
-    CORRECTED_COUNTERS,
-    EstimatorConfig,
-    check_corrected,
-    synth_bias_corrected,
-    synthesize,
-)
+from .estimators import CORRECTED_COUNTERS, EstimatorConfig, synth_bias_corrected, synthesize
 from .evaluation import icv_run, icv_sweep, union_hellinger
-from .knn import build_knn
-from .whiten import whiten_apply, whiten_fit, whiten_invert
 
 METHOD_FLAGS = {
     "knn-rex": "knn_rex",
@@ -66,14 +58,21 @@ class _Phases:
         self.seconds = {}
         self.counts = {}
         self._t0 = time.perf_counter()
+        self._nested = []  # per open phase, the seconds of the phases inside it
 
     @contextmanager
     def measure(self, name):
+        """Time the block as phase ``name``, less the phases measured inside it."""
         start = time.perf_counter()
+        self._nested.append(0.0)
         try:
             yield
         finally:
-            self.seconds[name] = self.seconds.get(name, 0.0) + (time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            inner = self._nested.pop()
+            if self._nested:
+                self._nested[-1] += elapsed
+            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed - inner
 
     def total(self):
         return time.perf_counter() - self._t0
@@ -154,6 +153,8 @@ def _comma_list(parse):
 def cmd_gen_data(args, phases):
     if args.spec is not None and args.dataset != "gmm":
         raise BadParams(f"gen-data --dataset {args.dataset} takes no --spec (gmm only)")
+    if args.spec is None and args.dataset == "gmm":
+        raise BadParams("gen-data --dataset gmm requires --spec with weights/means/covs (JSON)")
     rng = np.random.default_rng(args.seed)
     with phases.measure("generate"):
         if args.dataset == "swissroll":
@@ -161,8 +162,6 @@ def cmd_gen_data(args, phases):
         elif args.dataset == "ring":
             values = gen_ring(args.n, rng)
         else:
-            if not args.spec:
-                raise KnnRexError("gmm requires --spec with weights/means/covs (JSON)")
             try:
                 with open(args.spec, "r", encoding="utf-8") as handle:
                     raw = json.load(handle)
@@ -192,15 +191,8 @@ def cmd_synthesize(args, phases):
     rng = np.random.default_rng(cfg.seed)
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
-    with phases.measure("whiten"):
-        transform = whiten_fit(train.values)
-        train_w = whiten_apply(transform, train.values)
-    index = None
-    if cfg.uses_index:
-        with phases.measure("index"):
-            index = build_knn(train_w, cfg.k)
     with phases.measure("synthesis"):
-        synth = whiten_invert(transform, synthesize(cfg, train_w, args.l, rng, index=index))
+        synth = synthesize(cfg, train.values, args.l, rng, measure=phases.measure)
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))
 
@@ -210,16 +202,6 @@ def cmd_synthesize_corrected(args, phases):
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
         marginals = read_marginals_csv(args.marginals, args.total)
-    # Reject (k, m) and marginals that do not fit the sample before the
-    # whitening and the O(n^2) index are built.
-    check_corrected(train.values, marginals, args.k, args.m, train.columns)
-    transform = index = None
-    if args.m > 1:
-        with phases.measure("whiten"):
-            transform = whiten_fit(train.values)
-            train_w = whiten_apply(transform, train.values)
-        with phases.measure("index"):
-            index = build_knn(train_w, args.k)
     with phases.measure("synthesis"):
         synth = synth_bias_corrected(
             train.values,
@@ -229,8 +211,7 @@ def cmd_synthesize_corrected(args, phases):
             rng,
             columns=train.columns,
             round_integers=args.round_integers,
-            transform=transform,
-            index=index,
+            measure=phases.measure,
             counters=phases.counts,
         )
     with phases.measure("write"):
@@ -451,7 +432,7 @@ def main(argv=None) -> int:
             for name, deficit in exc.diagnostics["deficits"].items():
                 print(f"deficit_{name}: {deficit}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -16,14 +16,18 @@ Plus ``km_fit``/``km_synth``: the likelihood-optimized crossover-kernel
 baseline that hill-climbs the choice of L fixed kernel construction sets,
 and ``suggest_params``, the optimization-free parameter rule.
 
-``synthesize(cfg, X, l, rng, index=None)`` is the only code that maps an
+``synthesize(cfg, X, l, rng)`` is the only code that maps an
 ``EstimatorConfig`` to its synthesizer; the CLI and inverted cross-validation
-call it. Every method of ``synthesize`` shares one chunk loop: chunk i of
-``DEFAULT_CHUNK`` points draws only from the i-th child stream spawned from
-the caller's generator, so a seed pins the output exactly.
+call it on the sample in its own units. It and ``synth_bias_corrected`` each
+own their whitening and k-NN index, and report those phases to an optional
+``measure(name)`` context-manager factory. Every method of ``synthesize``
+shares one chunk loop: chunk i of ``DEFAULT_CHUNK`` points draws only from
+the i-th child stream spawned from the caller's generator, so a seed pins
+the output exactly.
 """
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,38 +111,46 @@ class EstimatorConfig:
             raise BadParams(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.method == "knn_rex":
             _check_rex(self.k, self.m)
+        if self.method == "bmp" and self.k < 1:
+            raise BadParams(f"k must be >= 1, got {self.k}")
         if self.method in ("fixed_gaussian", "bmp"):
             _check_scale("bandwidth h", self.h)
         if self.method == "km_rex":
             _check_km(self.L, self.stall_limit)
 
-    @property
-    def uses_index(self) -> bool:
-        """Whether synthesis reads a k-NN index of the training sample."""
-        return self.method == "bmp" or (self.method == "knn_rex" and self.m > 1)
-
 
 def synthesize(
     cfg: EstimatorConfig,
-    X_w: np.ndarray,
+    X: np.ndarray,
     l: int,
     rng: np.random.Generator,
-    index=None,
+    measure=nullcontext,
 ) -> np.ndarray:
-    """Draw l points from the (whitened) sample X_w by the method of ``cfg``.
+    """Draw l points from the sample X by the method of ``cfg``.
 
-    ``index`` is a prebuilt k-NN index of (X_w, cfg.k), used by the methods
-    for which ``cfg.uses_index`` holds; without one they build their own.
+    The method runs on the whitened sample, with a k-NN index of it when
+    the method reads one, and the draws are mapped back to X's units.
+    ``measure(name)`` wraps the "whiten" and "index" phases.
     """
     cfg.validate()
+    X = _sample(X)
+    with measure("whiten"):
+        transform = whiten_fit(X)
+        X_w = whiten_apply(transform, X)
+    index = None
+    if cfg.method == "bmp" or (cfg.method == "knn_rex" and cfg.m > 1):
+        with measure("index"):
+            index = build_knn(X_w, cfg.k)
     if cfg.method == "knn_rex":
-        return synth_knn_rex(X_w, cfg.k, cfg.m, l, rng, index=index)
-    if cfg.method == "fixed_gaussian":
-        return synth_fixed_gaussian(X_w, cfg.h, l, rng)
-    if cfg.method == "bmp":
-        return synth_bmp(X_w, cfg.k, cfg.h, l, rng, index=index)
-    model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
-    return km_synth(model, X_w, l, rng)
+        Y_w = synth_knn_rex(X_w, cfg.k, cfg.m, l, rng, index=index)
+    elif cfg.method == "fixed_gaussian":
+        Y_w = synth_fixed_gaussian(X_w, cfg.h, l, rng)
+    elif cfg.method == "bmp":
+        Y_w = synth_bmp(X_w, cfg.k, cfg.h, l, rng, index=index)
+    else:
+        model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
+        Y_w = km_synth(model, X_w, l, rng)
+    return whiten_invert(transform, Y_w)
 
 
 def _chunked(l: int, d: int, rng: np.random.Generator, draw) -> np.ndarray:
@@ -345,8 +357,7 @@ def synth_bias_corrected(
     rng: np.random.Generator,
     columns=None,
     round_integers: bool = False,
-    transform=None,
-    index=None,
+    measure=nullcontext,
     counters: dict | None = None,
 ) -> np.ndarray:
     """Synthesize a population whose marginal bin counts match ``marginals``.
@@ -384,12 +395,12 @@ def synth_bias_corrected(
     random stream, so a seed gives a different population than a
     per-proposal loop would.
 
-    ``transform`` (a whitening fitted to X) and ``index`` (a k-NN index of
-    the whitened X at this k) may be passed to keep those phases out of
-    synthesis timings; without them the function builds its own when
-    m > 1 and the total is above 0. When ``round_integers`` is set,
-    coordinates are rounded half-away-from-zero after the map back to
-    original units, before bin membership is tested. A ``counters`` dict
+    The inputs are checked, as ``check_corrected`` does, before anything
+    else. When m > 1 and the total is above 0 the function then whitens X
+    and builds its k-NN index, as phases "whiten" and "index" of
+    ``measure(name)``. When ``round_integers`` is set, coordinates are
+    rounded half-away-from-zero after the map back to original units,
+    before bin membership is tested. A ``counters`` dict
     receives, in place, the counts of iterations (proposals taken),
     proposals drawn, proposals drawn but never taken, out-of-range
     rejections, evictions, uniform-branch seeds drawn and the peak stall.
@@ -405,10 +416,10 @@ def synth_bias_corrected(
 
     needs_kernel = m > 1 and l > 0
     if needs_kernel:
-        if transform is None:
+        with measure("whiten"):
             transform = whiten_fit(X)
-        Xw = whiten_apply(transform, X)
-        if index is None:
+            Xw = whiten_apply(transform, X)
+        with measure("index"):
             index = build_knn(Xw, k)
     mins = X.min(axis=0)
     spans = X.max(axis=0) - mins

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import BadParams, DegenerateVariance, DimensionMismatch, EmptyData, TooFewPoints
 from .estimators import EstimatorConfig, synthesize
-from .whiten import whiten_apply, whiten_fit, whiten_invert
 
 
 @dataclass(frozen=True)
@@ -277,10 +276,7 @@ def icv_sweep(
         lo, hi = i * fold_size, (i + 1) * fold_size
         train = shuffled[lo:hi]
         test = np.concatenate([shuffled[:lo], shuffled[hi:]], axis=0)
-        transform = whiten_fit(train)
-        train_w = whiten_apply(transform, train)
-        synth_w = synthesize(cfg, train_w, population_size, streams[i])
-        synth = whiten_invert(transform, synth_w)
+        synth = synthesize(cfg, train, population_size, streams[i])
         fold_score = union_hellinger(synth, test, bins_per_dim)
         base = union_hellinger(train, test, bins_per_dim) if known_bases is None else known_bases[i]
         return fold_score, base, time.perf_counter() - t0

@@ -7,8 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import knnrex.cli
 import knnrex.evaluation
-from knnrex.cli import _resolve_config, build_parser
+from knnrex.cli import _Phases, _resolve_config, build_parser
 from knnrex.cli import main as cli_main
 from knnrex.estimators import CORRECTED_COUNTERS, STALL_FACTOR, EstimatorConfig
 
@@ -50,6 +51,41 @@ def test_manifest_echoes_every_flag(name):
     assert counts == want
     assert rest[: len(counts)] == counts
     assert rest[len(counts) :] and all(key.startswith("time_") for key in rest[len(counts) :])
+
+
+def test_nested_phase_excludes_the_phases_inside_it(monkeypatch):
+    clock = iter([0.0, 1.0, 3.0, 4.0, 10.0, 13.0, 15.0, 18.0, 21.0])
+    monkeypatch.setattr(knnrex.cli.time, "perf_counter", lambda: next(clock))
+    phases = _Phases()  # started at 0
+    with phases.measure("synthesis"):  # 1 .. 21
+        with phases.measure("whiten"):  # 3 .. 4
+            pass
+        with phases.measure("index"):  # 10 .. 18
+            with phases.measure("whiten"):  # 13 .. 15, added to the first
+                pass
+    assert phases.seconds == {"whiten": 1.0 + 2.0, "index": 8.0 - 2.0, "synthesis": 20.0 - 1.0 - 8.0}
+
+
+@pytest.mark.parametrize("name", ["synthesize_knn_rex", "synthesize_bmp", "synthesize_corrected"])
+def test_fresh_manifest_has_exclusive_phases(name, tmp_path):
+    case = CASES[name]
+    run_case(case, tmp_path)
+    manifest = (tmp_path / case["artifacts"][-1]).read_text().splitlines()
+    times = dict(line.split(": ", 1) for line in manifest if line.startswith("time_"))
+    times = {key: float(value) for key, value in times.items()}
+    assert {"time_whiten", "time_index", "time_synthesis"} <= set(times)
+    total = times.pop("time_total")
+    assert sum(times.values()) <= total + 1e-5  # 6-decimal rounding
+
+
+def test_corrected_bootstrap_neither_whitens_nor_indexes(tmp_path):
+    case = CASES["synthesize_corrected"]
+    command = list(case["command"])
+    command[command.index("--m") + 1] = "1"
+    run_case({**case, "command": command}, tmp_path)
+    manifest = (tmp_path / "corrected.csv.manifest.txt").read_text()
+    assert "time_synthesis: " in manifest
+    assert "time_whiten" not in manifest and "time_index" not in manifest
 
 
 def test_synthesize_byte_identical_reruns(tmp_path):
@@ -395,6 +431,15 @@ MALFORMED = [
      "BadParams: validate-asymptotics --density uniform takes no --slope (linear only)"),
     (["synthesize", "--method", "knn-rex", "--k", "2", "--m", "2", "--l", "5", "--in", "{huge}"], 1,
      "SingularCovariance: sample covariance overflows float64"),
+    (["sweep", "--method", "bmp", "--k", "5,0", "--h", "0.1", "--folds", "2", "--in", "{missing}"], 1,
+     "BadParams: k must be >= 1, got 0"),
+    (["gen-data", "--dataset", "gmm", "--n", "5"], 1,
+     "BadParams: gen-data --dataset gmm requires --spec"),
+    # sizes beyond any address space: refused by the allocator, whatever the overcommit mode
+    (["synthesize", "--method", "knn-rex", "--k", "5", "--l", "100000000000000000",
+      "--in", "{ring}"], 1, "error: Unable to allocate"),
+    (["evaluate", "--a", "{ring}", "--b", "{ring}", "--bins", "100000000000000000"], 1,
+     "error: Unable to allocate"),
 ]
 
 

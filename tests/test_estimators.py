@@ -10,6 +10,7 @@ from knnrex import (
     BadParams,
     EmptySample,
     NonFiniteSample,
+    SingularCovariance,
     build_knn,
     km_fit,
     km_synth,
@@ -19,6 +20,9 @@ from knnrex import (
     synth_fixed_gaussian,
     synth_knn_rex,
     synthesize,
+    whiten_apply,
+    whiten_fit,
+    whiten_invert,
 )
 import knnrex.estimators
 from knnrex.estimators import DEFAULT_CHUNK, METHODS, EstimatorConfig
@@ -352,9 +356,18 @@ def _synthesis_case(draw):
     st.sampled_from([0, 1, DEFAULT_CHUNK - 1, DEFAULT_CHUNK, DEFAULT_CHUNK + 1]),
 )
 def test_synthesize_matches_reference(case, l):
+    # synthesize takes the sample in its own units and runs the method on
+    # the whitened sample; a sample without a whitening is refused.
     cfg, X = case
+    try:
+        t = whiten_fit(X)
+    except SingularCovariance:
+        with pytest.raises(SingularCovariance):
+            synthesize(cfg, X, l, np.random.default_rng(cfg.seed))
+        return
     got = synthesize(cfg, X, l, np.random.default_rng(cfg.seed))
-    assert same_bits(got, reference_synthesize(cfg, X, l, np.random.default_rng(cfg.seed)))
+    reference = reference_synthesize(cfg, whiten_apply(t, X), l, np.random.default_rng(cfg.seed))
+    assert same_bits(got, whiten_invert(t, reference))
 
 
 @settings(max_examples=150, deadline=None)
