@@ -78,9 +78,10 @@ class _Phases:
         return time.perf_counter() - self._t0
 
 
-def _manifest_lines(args, phases):
+def _manifest_lines(args, phases, diagnostics=()):
     """``subcommand``, then every parsed flag that holds a value, sorted by
-    dest name, then the counts in the order recorded, then the phase timings."""
+    dest name, then the counts in the order recorded, then the ``diagnostics``
+    lines of a failed run, then the phase timings."""
     lines = [f"subcommand: {args.subcommand}"]
     for key, value in sorted(vars(args).items()):
         if key in ("func", "subcommand") or value is None:
@@ -92,17 +93,18 @@ def _manifest_lines(args, phases):
         lines.append(f"{key}: {value}")
     for name, count in phases.counts.items():
         lines.append(f"count_{name}: {count}")
+    lines.extend(diagnostics)
     for name in sorted(phases.seconds):
         lines.append(f"time_{name}: {phases.seconds[name]:.6f}")
     lines.append(f"time_total: {phases.total():.6f}")
     return lines
 
 
-def _write_output(args, phases, sections):
+def _write_output(args, phases, sections, diagnostics=()):
     """An artifact command (``sections`` is None) gets the manifest in its
     ``<out>.manifest.txt`` sidecar; a report ends in a ``[manifest]`` block
     and goes to ``--out``, or to stdout without one."""
-    manifest = _manifest_lines(args, phases)
+    manifest = _manifest_lines(args, phases, diagnostics)
     if sections is None:
         path, blocks = f"{args.out}.manifest.txt", [manifest]
     else:
@@ -429,8 +431,13 @@ def main(argv=None) -> int:
         if isinstance(exc, StallLimit):  # what the loop did, and what is still missing
             for name in CORRECTED_COUNTERS:
                 print(f"count_{name}: {exc.diagnostics[name]}", file=sys.stderr)
-            for name, deficit in exc.diagnostics["deficits"].items():
-                print(f"deficit_{name}: {deficit}", file=sys.stderr)
+            deficits = [f"deficit_{name}: {d}" for name, d in exc.diagnostics["deficits"].items()]
+            for line in deficits:
+                print(line, file=sys.stderr)
+            try:  # the sidecar keeps them, with the flags and the timings
+                _write_output(args, phases, None, deficits)
+            except OSError as err:
+                print(f"error: {err}", file=sys.stderr)
         return 1
     except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

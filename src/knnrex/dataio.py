@@ -9,7 +9,10 @@ written file gives back the same floats.
 """
 
 import csv
+import os
+import signal
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,14 +146,92 @@ def _read_rows(path, handle) -> PointSet:
 
 
 def write_points_csv(path, points: PointSet) -> None:
+    """Write a header row, then one line per point, each value as ``%r``.
+
+    On a POSIX system, an output of more than one ``WRITE_BLOCK_ROWS`` block
+    is formatted on two cores: one forked child formats the rows from the
+    middle block boundary on while this process formats the rows before it,
+    then this process copies the child's bytes after its own. The bytes are
+    those this process writes alone, as it does for one block or where
+    ``os.fork`` is missing or fails. A child that fails raises OSError naming
+    ``path``. Under Python 3.12 and later, ``os.fork`` warns
+    (DeprecationWarning) in a process that runs threads, such as OpenBLAS
+    workers.
+    """
     columns = points.columns or default_columns(points.dim)
     values = np.asarray(points.values, dtype=np.float64)
     line = ",".join(["%r"] * values.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    n = values.shape[0]
+    blocks = -(-n // WRITE_BLOCK_ROWS)
+    mid = WRITE_BLOCK_ROWS * (blocks // 2) if blocks > 1 else n
+    with (
+        open(path, "w", encoding="utf-8", newline="") as handle,
+        _forked_formatter(path, line, values[mid:]) as pipe,
+    ):
+        if pipe is None:  # no child: this process formats every row
+            mid = n
         csv.writer(handle, lineterminator="\n").writerow(columns)
-        for start in range(0, values.shape[0], WRITE_BLOCK_ROWS):
-            block = values[start : start + WRITE_BLOCK_ROWS]
-            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+        for start in range(0, mid, WRITE_BLOCK_ROWS):
+            handle.write(_format_block(line, values[start : start + WRITE_BLOCK_ROWS]))
+        if pipe is not None:
+            handle.flush()
+            chunk = memoryview(bytearray(1 << 20))  # reused: new bytes per read fragment the heap
+            while size := os.readv(pipe, [chunk]):
+                handle.buffer.write(chunk[:size])
+
+
+def _format_block(line, block) -> str:
+    """The text of the rows of ``block``, one ``line`` template each."""
+    return (line * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+@contextmanager
+def _forked_formatter(path, line, rows):
+    """Fork one child that formats ``rows`` block by block, then sends their
+    UTF-8 bytes through a pipe, and give the pipe's read end; give None, and
+    fork nothing, where there are no rows or ``os.fork`` is missing or fails.
+
+    The child leaves only through ``os._exit``, so it runs none of the
+    caller's cleanup and flushes none of its buffers. On leaving the block,
+    the child is killed if the block raises and is always reaped; a nonzero
+    exit status raises OSError naming ``path``.
+    """
+    fork = getattr(os, "fork", None)
+    if rows.shape[0] == 0 or fork is None:
+        yield None
+        return
+    read_end, write_end = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            chunks = [
+                _format_block(line, rows[start : start + WRITE_BLOCK_ROWS]).encode("utf-8")
+                for start in range(0, rows.shape[0], WRITE_BLOCK_ROWS)
+            ]
+            with open(write_end, "wb") as pipe:
+                pipe.writelines(chunks)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        yield read_end
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read_end)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise OSError(f"{path}: the forked formatting process exited with status {status}")
 
 
 def read_marginals_csv(path, total: int) -> MarginalSpec:

@@ -39,11 +39,16 @@ class BinningSpec:
     def bins_per_dim(self) -> tuple:
         return tuple(max(e.size - 1, 1) for e in self.edges)
 
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        """Per-dimension bin indices, shape (n, d), clamped into range."""
+    def checked(self, X: np.ndarray) -> np.ndarray:
+        """``X`` as a float64 array of points of this binning's dimension."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise BadParams(f"expected points of dimension {self.dim}, got shape {X.shape}")
+        return X
+
+    def assign(self, X: np.ndarray) -> np.ndarray:
+        """Per-dimension bin indices, shape (n, d), clamped into range."""
+        X = self.checked(X)
         out = np.empty(X.shape, dtype=np.int64)
         for j, edges in enumerate(self.edges):
             nb = max(edges.size - 1, 1)
@@ -88,7 +93,7 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
     Z = np.asarray(Z, dtype=np.float64)
     if Y.shape[0] == 0 or Z.shape[0] == 0:
         raise EmptyData("hellinger requires two non-empty point sets")
-    both = np.concatenate([binning.assign(Y), binning.assign(Z)], axis=0)
+    both = binning.assign(np.concatenate([binning.checked(Y), binning.checked(Z)]))
     keys = np.zeros(both.shape[0], dtype=np.int64)
     span = 1
     for j, nb in enumerate(binning.bins_per_dim()):

@@ -11,9 +11,11 @@ import knnrex.cli
 import knnrex.evaluation
 from knnrex.cli import _Phases, _resolve_config, build_parser
 from knnrex.cli import main as cli_main
+from knnrex.dataio import WRITE_BLOCK_ROWS, read_points_csv
 from knnrex.estimators import CORRECTED_COUNTERS, STALL_FACTOR, EstimatorConfig
 
 from golden_cases import CASES, GOLDEN_DIR, run_case, strip_timings
+from test_dataio import reference_write_points_csv
 
 
 def run_cli(argv):
@@ -176,7 +178,16 @@ def test_stalled_corrected_run_prints_its_counters_and_deficits(tmp_path, capsys
     assert list(fields) == [f"count_{c}" for c in CORRECTED_COUNTERS] + ["deficit_x1", "deficit_x2"]
     assert fields["count_peak_stall"] == str(STALL_FACTOR * 6)
     assert fields["deficit_x1"] == "2"
-    assert not out.exists() and not (tmp_path / "y.csv.manifest.txt").exists()
+    assert not out.exists()
+    manifest = (tmp_path / "y.csv.manifest.txt").read_text().splitlines()
+    assert manifest[0] == "subcommand: synthesize-corrected"
+    echoed = dict(line.split(": ", 1) for line in manifest[1:])
+    assert echoed["total"] == "6" and echoed["round_integers"] == "True"
+    diagnostics = [line for line in manifest if line.startswith(("count_", "deficit_"))]
+    assert diagnostics == lines
+    timings = manifest[manifest.index(lines[-1]) + 1 :]
+    assert timings and all(line.startswith("time_") for line in timings)
+    assert timings[-1].startswith("time_total: ")
 
 
 def test_synthesize_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
@@ -195,6 +206,52 @@ def test_synthesize_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
         assert run.returncode == 0, run.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_synthesize_over_two_write_blocks_writes_the_row_writer_bytes(tmp_path):
+    """At l = 140000 the population spans three write blocks, so its second
+    half is formatted by a forked child."""
+    assert 140_000 > 2 * WRITE_BLOCK_ROWS
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "200", "--seed", "2",
+                    "--out", str(train)]) == 0
+    out = tmp_path / "pop.csv"
+    assert run_cli(["synthesize", "--method", "knn-rex", "--k", "5", "--m", "2", "--l", "140000",
+                    "--seed", "4", "--in", str(train), "--out", str(out)]) == 0
+    reference_write_points_csv(tmp_path / "ref.csv", read_points_csv(out))
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# Runs the CLI with a block formatter that fails in the forked child only.
+FAILING_CHILD = """
+import os, sys
+import knnrex.cli, knnrex.dataio
+parent, format_block = os.getpid(), knnrex.dataio._format_block
+def format_in_parent(line, block):
+    if os.getpid() != parent:
+        raise ValueError("formatting failed")
+    return format_block(line, block)
+knnrex.dataio._format_block = format_in_parent
+sys.exit(knnrex.cli.main(sys.argv[1:]))
+"""
+
+
+def test_failed_formatting_child_exit_1(tmp_path):
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "200", "--seed", "2",
+                    "--out", str(train)]) == 0
+    out = tmp_path / "pop.csv"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(knnrex.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", FAILING_CHILD, "synthesize", "--method",
+                          "knn-rex", "--k", "5", "--m", "2", "--l", "140000",
+                          "--in", str(train), "--out", str(out)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+    assert run.stderr.splitlines() == [
+        f"error: {out}: the forked formatting process exited with status 1"
+    ]
+    assert not (tmp_path / "pop.csv.manifest.txt").exists()
 
 
 def test_non_finite_input_exit_1(tmp_path, capsys):

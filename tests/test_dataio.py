@@ -1,4 +1,6 @@
 import csv
+import os
+import re
 
 import numpy as np
 import pytest
@@ -67,10 +69,56 @@ def test_write_matches_row_writer_across_blocks(tmp_path, monkeypatch, dtype, d)
         (WRITE_BLOCK_ROWS, 3),
         (WRITE_BLOCK_ROWS + 1, 1),
         (2 * WRITE_BLOCK_ROWS + 1, 1),
+        (2 * WRITE_BLOCK_ROWS + 1, 3),
+        (3 * WRITE_BLOCK_ROWS, 2),
     ],
 )
 def test_write_matches_row_writer_at_block_size(tmp_path, n, d):
     _assert_same_bytes(tmp_path, _values(n, d, np.float64, seed=n + d))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fails_in", ["child", "parent"])
+def test_write_error_reaps_the_child(tmp_path, monkeypatch, fails_in):
+    """A child that fails makes the write raise OSError naming the path. An
+    error in the parent propagates without a hang although the child may
+    still be formatting or blocked on a full pipe: the child is killed."""
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 1000)
+    parent = os.getpid()
+    format_block = dataio._format_block
+
+    def format_or_fail(line, block):
+        if (os.getpid() == parent) == (fails_in == "parent"):
+            raise ValueError("formatting failed")
+        return format_block(line, block)
+
+    monkeypatch.setattr(dataio, "_format_block", format_or_fail)
+    path = tmp_path / "out.csv"
+    if fails_in == "child":
+        error, message = OSError, f"^{re.escape(str(path))}: .*status 1$"
+    else:
+        error, message = ValueError, "^formatting failed$"
+    with pytest.raises(error, match=message):
+        write_points_csv(path, PointSet(_values(200_000, 2, np.float64, seed=4)))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fork", ["raises", "missing"])
+def test_write_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, fork):
+    def refuse():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 7)
+    if fork == "raises":
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.delattr(os, "fork")
+    _assert_same_bytes(tmp_path, _values(3 * 7 + 2, 3, np.float64, seed=5))
+    _assert_no_child_left()
 
 
 def test_write_quotes_column_names_like_csv(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from knnrex import (
     make_binning,
     welch_t,
 )
+import knnrex.evaluation
 from knnrex.evaluation import union_hellinger
 
 
@@ -216,6 +218,29 @@ def test_hellinger_empty_errors():
     spec = make_binning(np.array([[0.0], [1.0]]), 2)
     with pytest.raises(EmptyData):
         hellinger(np.empty((0, 1)), np.zeros((3, 1)), spec)
+
+
+@pytest.mark.parametrize("shapes", [((4, 2), (5, 3)), ((4, 3), (5, 2)), ((4, 2), (5,))])
+def test_hellinger_names_the_set_of_the_wrong_dimension(shapes):
+    """Y and Z are binned in one call on their concatenation; a set of
+    another dimension gets the message of ``assign``, not numpy's."""
+    spec = make_binning(np.array([[0.0, 0.0], [1.0, 1.0]]), 2)
+    Y, Z = np.zeros(shapes[0]), np.zeros(shapes[1])
+    bad = Y if Y.shape[1:] != (2,) else Z
+    message = f"expected points of dimension 2, got shape {bad.shape}"
+    with pytest.raises(BadParams, match=re.escape(message)):
+        hellinger(Y, Z, spec)
+
+
+def test_hellinger_assigns_bins_once(monkeypatch):
+    calls = []
+    assign = knnrex.evaluation.BinningSpec.assign
+    monkeypatch.setattr(knnrex.evaluation.BinningSpec, "assign",
+                        lambda self, X: calls.append(len(X)) or assign(self, X))
+    rng = np.random.default_rng(5)
+    Y, Z = rng.normal(size=(40, 2)), rng.normal(size=(60, 2))
+    assert hellinger(Y, Z, make_binning(np.concatenate([Y, Z]), 5)) == union_hellinger(Y, Z, 5)
+    assert calls == [100, 100]
 
 
 def test_union_hellinger_bins_the_union_and_checks_dimensions():
