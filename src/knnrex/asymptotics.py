@@ -49,6 +49,8 @@ def uniform_model(dim: int) -> DensityModel:
 
 def linear_model(dim: int, slope: float, axis: int = 0, offset: float = 1.0) -> DensityModel:
     """Density proportional to offset + slope * x[axis] (positive near 0)."""
+    if not math.isfinite(slope):
+        raise BadParams(f"slope must be finite, got {slope}")
 
     def density(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -211,7 +213,11 @@ def asymptotics_report(
     if f_x <= 0.0:
         raise ZeroDensity(f"density vanishes at the study point (f = {f_x:g})")
     grad = np.asarray(model.gradient(x), dtype=np.float64)
-    grad_norm = float(np.linalg.norm(grad))
+    with np.errstate(over="ignore"):
+        grad_norm = float(np.linalg.norm(grad))
+        gradient_term = float(np.float64(grad_norm / f_x) ** 2)  # (|grad f| / f)^2
+    if not math.isfinite(gradient_term):
+        raise BadParams("gradient term (|grad f| / f)^2 at the study point overflows float64")
     unit = grad / grad_norm if grad_norm > 0 else None
 
     entries = []
@@ -220,7 +226,7 @@ def asymptotics_report(
         mc, se, rate, _ = _ball_mc_detail(model, x, delta, n_samples, rng)
         dev = np.abs(theory - mc)
         first = delta**2 / (d + 2)
-        predicted = delta**4 / (d + 2) ** 2 * (grad_norm / f_x) ** 2
+        predicted = delta**4 / (d + 2) ** 2 * gradient_term
         measured = float(unit @ (first * np.eye(d) - mc) @ unit) if unit is not None else 0.0
         entries.append(
             AsymptoticsEntry(

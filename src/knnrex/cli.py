@@ -51,28 +51,23 @@ DEFAULT_SLOPE = 5.0
 
 
 class _Phases:
-    """Wall-clock bookkeeping; phase names appear as time_<name> keys. A
+    """Wall-clock bookkeeping; phase names appear as time_<name> keys, and
+    phases never nest (the library times whiten, index and synthesis). A
     command may also record deterministic counts, shown as count_<name>."""
 
     def __init__(self):
         self.seconds = {}
         self.counts = {}
         self._t0 = time.perf_counter()
-        self._nested = []  # per open phase, the seconds of the phases inside it
 
     @contextmanager
     def measure(self, name):
-        """Time the block as phase ``name``, less the phases measured inside it."""
+        """Add the block's wall-clock seconds to phase ``name``."""
         start = time.perf_counter()
-        self._nested.append(0.0)
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            inner = self._nested.pop()
-            if self._nested:
-                self._nested[-1] += elapsed
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed - inner
+            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
 
     def total(self):
         return time.perf_counter() - self._t0
@@ -193,8 +188,7 @@ def cmd_synthesize(args, phases):
     rng = np.random.default_rng(cfg.seed)
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
-    with phases.measure("synthesis"):
-        synth = synthesize(cfg, train.values, args.l, rng, measure=phases.measure)
+    synth = synthesize(cfg, train.values, args.l, rng, measure=phases.measure)
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))
 
@@ -204,18 +198,17 @@ def cmd_synthesize_corrected(args, phases):
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
         marginals = read_marginals_csv(args.marginals, args.total)
-    with phases.measure("synthesis"):
-        synth = synth_bias_corrected(
-            train.values,
-            marginals,
-            args.k,
-            args.m,
-            rng,
-            columns=train.columns,
-            round_integers=args.round_integers,
-            measure=phases.measure,
-            counters=phases.counts,
-        )
+    synth = synth_bias_corrected(
+        train.values,
+        marginals,
+        args.k,
+        args.m,
+        rng,
+        columns=train.columns,
+        round_integers=args.round_integers,
+        measure=phases.measure,
+        counters=phases.counts,
+    )
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))
 

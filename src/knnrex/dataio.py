@@ -11,8 +11,9 @@ written file gives back the same floats.
 import csv
 import os
 import signal
+import stat
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,9 +155,9 @@ def write_points_csv(path, points: PointSet) -> None:
     then this process copies the child's bytes after its own. The bytes are
     those this process writes alone, as it does for one block or where
     ``os.fork`` is missing or fails. A child that fails raises OSError naming
-    ``path``. Under Python 3.12 and later, ``os.fork`` warns
-    (DeprecationWarning) in a process that runs threads, such as OpenBLAS
-    workers.
+    ``path``. A failed write removes ``path`` if it is a regular file. Under
+    Python 3.12 and later, ``os.fork`` warns (DeprecationWarning) in a
+    process that runs threads, such as OpenBLAS workers.
     """
     columns = points.columns or default_columns(points.dim)
     values = np.asarray(points.values, dtype=np.float64)
@@ -164,20 +165,24 @@ def write_points_csv(path, points: PointSet) -> None:
     n = values.shape[0]
     blocks = -(-n // WRITE_BLOCK_ROWS)
     mid = WRITE_BLOCK_ROWS * (blocks // 2) if blocks > 1 else n
-    with (
-        open(path, "w", encoding="utf-8", newline="") as handle,
-        _forked_formatter(path, line, values[mid:]) as pipe,
-    ):
-        if pipe is None:  # no child: this process formats every row
-            mid = n
-        csv.writer(handle, lineterminator="\n").writerow(columns)
-        for start in range(0, mid, WRITE_BLOCK_ROWS):
-            handle.write(_format_block(line, values[start : start + WRITE_BLOCK_ROWS]))
-        if pipe is not None:
-            handle.flush()
-            chunk = memoryview(bytearray(1 << 20))  # reused: new bytes per read fragment the heap
-            while size := os.readv(pipe, [chunk]):
-                handle.buffer.write(chunk[:size])
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:  # only this process reaches the except: the forked child leaves by os._exit
+        with handle, _forked_formatter(path, line, values[mid:]) as pipe:
+            if pipe is None:  # no child: this process formats every row
+                mid = n
+            csv.writer(handle, lineterminator="\n").writerow(columns)
+            for start in range(0, mid, WRITE_BLOCK_ROWS):
+                handle.write(_format_block(line, values[start : start + WRITE_BLOCK_ROWS]))
+            if pipe is not None:
+                handle.flush()
+                chunk = memoryview(bytearray(1 << 20))  # reused: new bytes per read fragment the heap
+                while size := os.readv(pipe, [chunk]):
+                    handle.buffer.write(chunk[:size])
+    except BaseException:
+        with suppress(OSError):  # a failed removal must not hide the write's error
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise
 
 
 def _format_block(line, block) -> str:

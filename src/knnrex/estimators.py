@@ -19,11 +19,11 @@ and ``suggest_params``, the optimization-free parameter rule.
 ``synthesize(cfg, X, l, rng)`` is the only code that maps an
 ``EstimatorConfig`` to its synthesizer; the CLI and inverted cross-validation
 call it on the sample in its own units. It and ``synth_bias_corrected`` each
-own their whitening and k-NN index, and report those phases to an optional
-``measure(name)`` context-manager factory. Every method of ``synthesize``
-shares one chunk loop: chunk i of ``DEFAULT_CHUNK`` points draws only from
-the i-th child stream spawned from the caller's generator, so a seed pins
-the output exactly.
+own their whitening and k-NN index, and time the "whiten", "index" and
+"synthesis" phases, never nested, through an optional ``measure(name)``
+factory. Every method of ``synthesize`` shares one chunk loop: chunk i of
+``DEFAULT_CHUNK`` points draws only from the i-th child stream spawned from
+the caller's generator, so a seed pins the output exactly.
 """
 
 import math
@@ -75,25 +75,6 @@ def _sample(X) -> np.ndarray:
     return X
 
 
-def _check_rex(k: int, m: int) -> None:
-    if k == 0 and m != 1:
-        raise BadParams("k = 0 admits only m = 1 (pure bootstrap)")
-    if not 1 <= m <= k + 1:
-        raise BadParams(f"need 1 <= m <= k+1, got m = {m}, k = {k}")
-
-
-def _check_km(L: int, stall_limit: int) -> None:
-    if L < 1:
-        raise BadParams(f"need L >= 1, got {L}")
-    if stall_limit < 1:
-        raise BadParams(f"need stall_limit >= 1, got {stall_limit}")
-
-
-def _check_scale(name: str, value: float) -> None:
-    if not 0 <= value < math.inf:  # also false for NaN
-        raise BadParams(f"{name} must be finite and >= 0, got {value}")
-
-
 @dataclass
 class EstimatorConfig:
     """Resolved parameters for one synthesis method."""
@@ -110,13 +91,19 @@ class EstimatorConfig:
         if self.method not in METHODS:
             raise BadParams(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.method == "knn_rex":
-            _check_rex(self.k, self.m)
+            if self.k == 0 and self.m != 1:
+                raise BadParams("k = 0 admits only m = 1 (pure bootstrap)")
+            if not 1 <= self.m <= self.k + 1:
+                raise BadParams(f"need 1 <= m <= k+1, got m = {self.m}, k = {self.k}")
         if self.method == "bmp" and self.k < 1:
             raise BadParams(f"k must be >= 1, got {self.k}")
-        if self.method in ("fixed_gaussian", "bmp"):
-            _check_scale("bandwidth h", self.h)
+        if self.method in ("fixed_gaussian", "bmp") and not 0 <= self.h < math.inf:  # also NaN
+            raise BadParams(f"bandwidth h must be finite and >= 0, got {self.h}")
         if self.method == "km_rex":
-            _check_km(self.L, self.stall_limit)
+            if self.L < 1:
+                raise BadParams(f"need L >= 1, got {self.L}")
+            if self.stall_limit < 1:
+                raise BadParams(f"need stall_limit >= 1, got {self.stall_limit}")
 
 
 def synthesize(
@@ -130,7 +117,7 @@ def synthesize(
 
     The method runs on the whitened sample, with a k-NN index of it when
     the method reads one, and the draws are mapped back to X's units.
-    ``measure(name)`` wraps the "whiten" and "index" phases.
+    ``measure(name)`` wraps the "whiten", "index" and "synthesis" phases.
     """
     cfg.validate()
     X = _sample(X)
@@ -141,16 +128,17 @@ def synthesize(
     if cfg.method == "bmp" or (cfg.method == "knn_rex" and cfg.m > 1):
         with measure("index"):
             index = build_knn(X_w, cfg.k)
-    if cfg.method == "knn_rex":
-        Y_w = synth_knn_rex(X_w, cfg.k, cfg.m, l, rng, index=index)
-    elif cfg.method == "fixed_gaussian":
-        Y_w = synth_fixed_gaussian(X_w, cfg.h, l, rng)
-    elif cfg.method == "bmp":
-        Y_w = synth_bmp(X_w, cfg.k, cfg.h, l, rng, index=index)
-    else:
-        model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
-        Y_w = km_synth(model, X_w, l, rng)
-    return whiten_invert(transform, Y_w)
+    with measure("synthesis"):
+        if cfg.method == "knn_rex":
+            Y_w = synth_knn_rex(X_w, cfg.k, cfg.m, l, rng, index=index)
+        elif cfg.method == "fixed_gaussian":
+            Y_w = synth_fixed_gaussian(X_w, cfg.h, l, rng)
+        elif cfg.method == "bmp":
+            Y_w = synth_bmp(X_w, cfg.k, cfg.h, l, rng, index=index)
+        else:
+            model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
+            Y_w = km_synth(model, X_w, l, rng)
+        return whiten_invert(transform, Y_w)
 
 
 def _chunked(l: int, d: int, rng: np.random.Generator, draw) -> np.ndarray:
@@ -175,14 +163,14 @@ def synth_knn_rex(
 
     m = 1 degenerates to a plain bootstrap (the REX draw collapses onto the
     seed point); k = 0 forces m = 1 and skips index construction. A
-    prebuilt ``index`` for (X, k) may be passed to keep the neighbor phase
-    out of synthesis timings.
+    prebuilt ``index`` of X with k neighbors per point may be passed; one
+    of any other shape raises BadParams.
     """
     X = _sample(X)
     n, d = X.shape
-    _check_rex(k, m)
-    if index is None and m > 1:
-        index = build_knn(X, k)
+    EstimatorConfig("knn_rex", k=k, m=m).validate()
+    if m > 1:
+        index = _index(X, k, index)
 
     def draw(size, crng):
         seeds = crng.integers(0, n, size=size)
@@ -192,6 +180,15 @@ def synth_knn_rex(
         return rex_batch(X[np.column_stack((seeds, picks))], crng)
 
     return _chunked(l, d, rng, draw)
+
+
+def _index(X, k, index):
+    """``index``, checked to hold k neighbors per point of X, or a new one."""
+    if index is None:
+        return build_knn(X, k)
+    if index.ids.shape != (X.shape[0], k):
+        raise BadParams(f"prebuilt index has shape {index.ids.shape}, need {(X.shape[0], k)}")
+    return index
 
 
 def _pick_neighbors(neighbors: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,7 +225,7 @@ def synth_fixed_gaussian(
 ) -> np.ndarray:
     """Synthesize l points from the fixed scalar-bandwidth Gaussian mixture."""
     X = _sample(X)
-    _check_scale("bandwidth h", h)
+    EstimatorConfig("fixed_gaussian", h=h).validate()
     return _gaussian(X, np.full(X.shape[0], h, dtype=np.float64), l, rng)
 
 
@@ -242,9 +239,8 @@ def synth_bmp(
 ) -> np.ndarray:
     """Synthesize l points with per-point bandwidth h * delta_ik."""
     X = _sample(X)
-    _check_scale("bandwidth h", h)
-    if index is None:
-        index = build_knn(X, k)
+    EstimatorConfig("bmp", k=k, h=h).validate()
+    index = _index(X, k, index)
     return _gaussian(X, h * index.dists[:, k - 1], l, rng)
 
 
@@ -332,7 +328,7 @@ def check_corrected(X, marginals: MarginalSpec, k: int, m: int, columns=None):
     InconsistentMarginals for a sample value outside its variable's bins.
     """
     X = _sample(X)
-    _check_rex(k, m)
+    EstimatorConfig("knn_rex", k=k, m=m).validate()
     if columns is None:
         columns = [f"x{i + 1}" for i in range(X.shape[1])]
     try:
@@ -398,9 +394,9 @@ def synth_bias_corrected(
     The inputs are checked, as ``check_corrected`` does, before anything
     else. When m > 1 and the total is above 0 the function then whitens X
     and builds its k-NN index, as phases "whiten" and "index" of
-    ``measure(name)``. When ``round_integers`` is set, coordinates are
-    rounded half-away-from-zero after the map back to original units,
-    before bin membership is tested. A ``counters`` dict
+    ``measure(name)``; the rest is phase "synthesis". With ``round_integers``,
+    coordinates are rounded half-away-from-zero after the map back to
+    original units, before bin membership is tested. A ``counters`` dict
     receives, in place, the counts of iterations (proposals taken),
     proposals drawn, proposals drawn but never taken, out-of-range
     rejections, evictions, uniform-branch seeds drawn and the peak stall.
@@ -421,122 +417,123 @@ def synth_bias_corrected(
             Xw = whiten_apply(transform, X)
         with measure("index"):
             index = build_knn(Xw, k)
-    mins = X.min(axis=0)
-    spans = X.max(axis=0) - mins
+    with measure("synthesis"):
+        mins = X.min(axis=0)
+        spans = X.max(axis=0) - mins
 
-    sizes = [freq.size for freq in marginals.freqs]
-    offsets = np.cumsum([0, *sizes])
-    flat_cols = np.repeat(var_cols, sizes).tolist()  # data column per flat id
-    vacancy = np.concatenate(marginals.freqs).tolist()
-    n_flat = len(vacancy)
-    lows = np.concatenate([e[:-1] for e in marginals.edges])
-    highs = np.concatenate([e[1:] for e in marginals.edges])
-    pools = [np.flatnonzero(bins == b) for bins, size in zip(sample_bins, sizes) for b in range(size)]
+        sizes = [freq.size for freq in marginals.freqs]
+        offsets = np.cumsum([0, *sizes])
+        flat_cols = np.repeat(var_cols, sizes).tolist()  # data column per flat id
+        vacancy = np.concatenate(marginals.freqs).tolist()
+        n_flat = len(vacancy)
+        lows = np.concatenate([e[:-1] for e in marginals.edges])
+        highs = np.concatenate([e[1:] for e in marginals.edges])
+        pools = [np.flatnonzero(bins == b) for bins, size in zip(sample_bins, sizes) for b in range(size)]
 
-    def propose(f, size):
-        """``size`` proposals seeded in bin f: each one's point and, per
-        variable, its flat id, or -1s when it is out of range."""
-        tally["proposals"] += size
-        pool = pools[f]
-        if pool.size > 0:
-            seed_ids = pool[rng.integers(pool.size, size=size)]
-            Y = X[seed_ids]
+        def propose(f, size):
+            """``size`` proposals seeded in bin f: each one's point and, per
+            variable, its flat id, or -1s when it is out of range."""
+            tally["proposals"] += size
+            pool = pools[f]
+            if pool.size > 0:
+                seed_ids = pool[rng.integers(pool.size, size=size)]
+                Y = X[seed_ids]
+                if needs_kernel:
+                    seeds_w, neighbors = Xw[seed_ids], index.ids[seed_ids]
+            else:
+                tally["uniform_seeds"] += size
+                Y = mins + spans * rng.random((size, d))
+                Y[:, flat_cols[f]] = lows[f] + (highs[f] - lows[f]) * rng.random(size)
+                if needs_kernel:
+                    seeds_w = whiten_apply(transform, Y)
+                    neighbors, _ = query_neighbors(Xw, seeds_w, k)
             if needs_kernel:
-                seeds_w, neighbors = Xw[seed_ids], index.ids[seed_ids]
-        else:
-            tally["uniform_seeds"] += size
-            Y = mins + spans * rng.random((size, d))
-            Y[:, flat_cols[f]] = lows[f] + (highs[f] - lows[f]) * rng.random(size)
-            if needs_kernel:
-                seeds_w = whiten_apply(transform, Y)
-                neighbors, _ = query_neighbors(Xw, seeds_w, k)
-        if needs_kernel:
-            kcs = np.empty((size, m, d))
-            kcs[:, 0] = seeds_w
-            kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng)]
-            Y = whiten_invert(transform, rex_batch(kcs, rng))
-        if round_integers:
-            Y = _round_half_away(Y)
-        bins = np.column_stack([marginals.bin_of(v, Y[:, col]) for v, col in enumerate(var_cols)])
-        ids = np.where((bins >= 0).all(axis=1, keepdims=True), bins + offsets[:-1], -1)
-        return zip(Y, ids.tolist())
+                kcs = np.empty((size, m, d))
+                kcs[:, 0] = seeds_w
+                kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng)]
+                Y = whiten_invert(transform, rex_batch(kcs, rng))
+            if round_integers:
+                Y = _round_half_away(Y)
+            bins = np.column_stack([marginals.bin_of(v, Y[:, col]) for v, col in enumerate(var_cols)])
+            ids = np.where((bins >= 0).all(axis=1, keepdims=True), bins + offsets[:-1], -1)
+            return zip(Y, ids.tolist())
 
-    def stream(f):
-        # A batch's temporaries (the KCS stack, neighbor ids) die with
-        # ``propose``; the stream holds only the rows still to be taken.
-        size = RESERVOIR_START
-        while True:
-            yield from propose(f, size)
-            size = min(2 * size, RESERVOIR_CAP)
+        def stream(f):
+            # A batch's temporaries (the KCS stack, neighbor ids) die with
+            # ``propose``; the stream holds only the rows still to be taken.
+            size = RESERVOIR_START
+            while True:
+                yield from propose(f, size)
+                size = min(2 * size, RESERVOIR_CAP)
 
-    streams = [stream(f) for f in range(n_flat)]
-    members = [[] for _ in range(n_flat)]  # point keys per flat id
-    # Per point key: coordinates (a row of ``points``), flat ids and
-    # position in each of its member lists. An evicted point's key goes on
-    # the free list for the next commit. With the free list empty, keys
-    # 0 .. placed-1 are all live, so the next new key is ``placed``; there
-    # are at most l keys however long the loop runs, and the output is the
-    # live keys in key order.
-    points = np.empty((l, d))
-    point_ids, slots, free = [None] * l, [None] * l, []
-    placed = 0
-    stall = 0
-    best_fill = 0
-    cap = STALL_FACTOR * l
+        streams = [stream(f) for f in range(n_flat)]
+        members = [[] for _ in range(n_flat)]  # point keys per flat id
+        # Per point key: coordinates (a row of ``points``), flat ids and
+        # position in each of its member lists. An evicted point's key goes on
+        # the free list for the next commit. With the free list empty, keys
+        # 0 .. placed-1 are all live, so the next new key is ``placed``; there
+        # are at most l keys however long the loop runs, and the output is the
+        # live keys in key order.
+        points = np.empty((l, d))
+        point_ids, slots, free = [None] * l, [None] * l, []
+        placed = 0
+        stall = 0
+        best_fill = 0
+        cap = STALL_FACTOR * l
 
-    while placed < l and stall < cap:
-        tally["iterations"] += 1
-        point, ids = next(streams[vacancy.index(max(vacancy))])
-        if ids[0] < 0:
-            tally["rejected"] += 1
-        else:
-            key = free.pop() if free else placed
-            slot = []
-            for g in ids:
-                vacancy[g] -= 1
-                bucket = members[g]
-                slot.append(len(bucket))
-                bucket.append(key)
-            points[key] = point
-            point_ids[key] = ids
-            slots[key] = slot
-            placed += 1
-            # Drain any bin the new point overfilled; eviction frees the
-            # victim's bins across all variables, so vacancies only go up.
-            for g in ids:
-                if vacancy[g] < 0:
+        while placed < l and stall < cap:
+            tally["iterations"] += 1
+            point, ids = next(streams[vacancy.index(max(vacancy))])
+            if ids[0] < 0:
+                tally["rejected"] += 1
+            else:
+                key = free.pop() if free else placed
+                slot = []
+                for g in ids:
+                    vacancy[g] -= 1
                     bucket = members[g]
-                    victim = bucket[rng.integers(len(bucket))]
-                    for v, h in enumerate(point_ids[victim]):
-                        vacancy[h] += 1
-                        last = members[h].pop()
-                        if last != victim:
-                            members[h][slots[victim][v]] = last
-                            slots[last][v] = slots[victim][v]
-                    free.append(victim)
-                    placed -= 1
-                    tally["evictions"] += 1
+                    slot.append(len(bucket))
+                    bucket.append(key)
+                points[key] = point
+                point_ids[key] = ids
+                slots[key] = slot
+                placed += 1
+                # Drain any bin the new point overfilled; eviction frees the
+                # victim's bins across all variables, so vacancies only go up.
+                for g in ids:
+                    if vacancy[g] < 0:
+                        bucket = members[g]
+                        victim = bucket[rng.integers(len(bucket))]
+                        for v, h in enumerate(point_ids[victim]):
+                            vacancy[h] += 1
+                            last = members[h].pop()
+                            if last != victim:
+                                members[h][slots[victim][v]] = last
+                                slots[last][v] = slots[victim][v]
+                        free.append(victim)
+                        placed -= 1
+                        tally["evictions"] += 1
 
-        if placed > best_fill:
-            best_fill = placed
-            stall = 0
-        else:
-            stall += 1
-            tally["peak_stall"] = max(tally["peak_stall"], stall)
+            if placed > best_fill:
+                best_fill = placed
+                stall = 0
+            else:
+                stall += 1
+                tally["peak_stall"] = max(tally["peak_stall"], stall)
 
-    tally["unused"] = tally["proposals"] - tally["iterations"]  # each iteration takes one
-    if counters is not None:
-        counters.update(tally)
-    # every key made so far is live or on the free list
-    out = np.delete(points[: placed + len(free)], np.array(free, dtype=np.int64), axis=0)
-    if placed < l:
-        deficits = np.add.reduceat(vacancy, offsets[:-1]).tolist()
-        raise StallLimit(
-            f"no net progress for {stall} iterations ({placed}/{l} points placed)",
-            partial=out,
-            diagnostics={**tally, "deficits": dict(zip(map(str, marginals.names), deficits))},
-        )
-    return out
+        tally["unused"] = tally["proposals"] - tally["iterations"]  # each iteration takes one
+        if counters is not None:
+            counters.update(tally)
+        # every key made so far is live or on the free list
+        out = np.delete(points[: placed + len(free)], np.array(free, dtype=np.int64), axis=0)
+        if placed < l:
+            deficits = np.add.reduceat(vacancy, offsets[:-1]).tolist()
+            raise StallLimit(
+                f"no net progress for {stall} iterations ({placed}/{l} points placed)",
+                partial=out,
+                diagnostics={**tally, "deficits": dict(zip(map(str, marginals.names), deficits))},
+            )
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +555,12 @@ class KmModel:
 def km_loglik(X: np.ndarray, kcss: np.ndarray) -> float:
     """Training log-likelihood of the mixture, recomputed from scratch."""
     X = np.asarray(X, dtype=np.float64)
-    cols = [_kcs_column(X, X[ids]) for ids in kcss]
-    log_mix = np.logaddexp.reduce(np.stack(cols, axis=1), axis=1) - math.log(len(kcss))
-    return float(log_mix.sum())
+    return _mixture_loglik(np.stack([_kcs_column(X, X[ids]) for ids in kcss], axis=1))
+
+
+def _mixture_loglik(log_kernel):
+    """Equal-weight mixture log-likelihood from its (n, L) log-kernel matrix."""
+    return float((np.logaddexp.reduce(log_kernel, axis=1) - math.log(log_kernel.shape[1])).sum())
 
 
 def _kcs_column(X, kcs_points):
@@ -596,18 +596,13 @@ def km_fit(
     n, d = X.shape
     if m < d + 1:
         raise BadParams(f"need m >= d+1 = {d + 1} for an evaluable density, got m = {m}")
-    _check_km(L, stall_limit)
+    EstimatorConfig("km_rex", m=m, L=L, stall_limit=stall_limit).validate()
     if n < m:
         raise BadParams(f"need n >= m, got n = {n}, m = {m}")
 
     kcss = np.stack([rng.permutation(n)[:m] for _ in range(L)])
     log_kernel = np.stack([_kcs_column(X, X[ids]) for ids in kcss], axis=1)
-    log_l = math.log(L)
-
-    def total(matrix):
-        return float((np.logaddexp.reduce(matrix, axis=1) - log_l).sum())
-
-    loglik = total(log_kernel)
+    loglik = _mixture_loglik(log_kernel)
     history = [loglik]
     stall = 0
     accepted = 0
@@ -619,7 +614,7 @@ def km_fit(
         new_col = _kcs_column(X, X[candidate])
         old_col = log_kernel[:, j].copy()
         log_kernel[:, j] = new_col
-        new_loglik = total(log_kernel)
+        new_loglik = _mixture_loglik(log_kernel)
         if new_loglik > loglik:
             kcss[j] = candidate
             loglik = new_loglik

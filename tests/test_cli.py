@@ -7,9 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import knnrex.cli
 import knnrex.evaluation
-from knnrex.cli import _Phases, _resolve_config, build_parser
+from knnrex.cli import _resolve_config, build_parser
 from knnrex.cli import main as cli_main
 from knnrex.dataio import WRITE_BLOCK_ROWS, read_points_csv
 from knnrex.estimators import CORRECTED_COUNTERS, STALL_FACTOR, EstimatorConfig
@@ -53,19 +52,6 @@ def test_manifest_echoes_every_flag(name):
     assert counts == want
     assert rest[: len(counts)] == counts
     assert rest[len(counts) :] and all(key.startswith("time_") for key in rest[len(counts) :])
-
-
-def test_nested_phase_excludes_the_phases_inside_it(monkeypatch):
-    clock = iter([0.0, 1.0, 3.0, 4.0, 10.0, 13.0, 15.0, 18.0, 21.0])
-    monkeypatch.setattr(knnrex.cli.time, "perf_counter", lambda: next(clock))
-    phases = _Phases()  # started at 0
-    with phases.measure("synthesis"):  # 1 .. 21
-        with phases.measure("whiten"):  # 3 .. 4
-            pass
-        with phases.measure("index"):  # 10 .. 18
-            with phases.measure("whiten"):  # 13 .. 15, added to the first
-                pass
-    assert phases.seconds == {"whiten": 1.0 + 2.0, "index": 8.0 - 2.0, "synthesis": 20.0 - 1.0 - 8.0}
 
 
 @pytest.mark.parametrize("name", ["synthesize_knn_rex", "synthesize_bmp", "synthesize_corrected"])
@@ -252,6 +238,7 @@ def test_failed_formatting_child_exit_1(tmp_path):
         f"error: {out}: the forked formatting process exited with status 1"
     ]
     assert not (tmp_path / "pop.csv.manifest.txt").exists()
+    assert not out.exists()
 
 
 def test_non_finite_input_exit_1(tmp_path, capsys):
@@ -497,6 +484,12 @@ MALFORMED = [
       "--in", "{ring}"], 1, "error: Unable to allocate"),
     (["evaluate", "--a", "{ring}", "--b", "{ring}", "--bins", "100000000000000000"], 1,
      "error: Unable to allocate"),
+    (["validate-asymptotics", "--density", "linear", "--slope", "inf", "--samples", "100"], 1,
+     "BadParams: slope must be finite, got inf"),
+    (["validate-asymptotics", "--density", "linear", "--slope", "nan", "--samples", "100"], 1,
+     "BadParams: slope must be finite, got nan"),
+    (["validate-asymptotics", "--density", "linear", "--slope", "1e200", "--samples", "100"], 1,
+     "BadParams: gradient term (|grad f| / f)^2 at the study point overflows float64"),
 ]
 
 

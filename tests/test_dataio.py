@@ -105,6 +105,7 @@ def test_write_error_reaps_the_child(tmp_path, monkeypatch, fails_in):
     with pytest.raises(error, match=message):
         write_points_csv(path, PointSet(_values(200_000, 2, np.float64, seed=4)))
     _assert_no_child_left()
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("fork", ["raises", "missing"])

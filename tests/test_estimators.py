@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from knnrex import (
     BadParams,
     EmptySample,
+    MarginalSpec,
     NonFiniteSample,
     SingularCovariance,
     build_knn,
@@ -16,6 +17,7 @@ from knnrex import (
     km_synth,
     rex_sample,
     suggest_params,
+    synth_bias_corrected,
     synth_bmp,
     synth_fixed_gaussian,
     synth_knn_rex,
@@ -86,6 +88,54 @@ def test_knn_rex_bad_params():
         synth_knn_rex(X, 0, 2, 10, np.random.default_rng(0))
     with pytest.raises(EmptySample):
         synth_knn_rex(np.empty((0, 2)), 3, 2, 10, np.random.default_rng(0))
+
+
+def test_prebuilt_index_must_hold_k_neighbors_per_sample_point():
+    X = np.random.default_rng(0).normal(size=(200, 2))
+    rng = np.random.default_rng(1)
+    index = build_knn(X, 5)
+    with pytest.raises(BadParams, match=r"^prebuilt index has shape \(200, 5\), need \(200, 3\)$"):
+        synth_knn_rex(X, 3, 3, 10, rng, index=index)
+    with pytest.raises(BadParams, match=r"^prebuilt index has shape \(40, 5\), need \(200, 5\)$"):
+        synth_knn_rex(X, 5, 3, 10, rng, index=build_knn(X[:40], 5))
+    with pytest.raises(BadParams, match="^k must be >= 1, got 0$"):
+        synth_bmp(X, 0, 0.5, 10, rng, index=index)
+    with pytest.raises(BadParams, match=r"^prebuilt index has shape \(200, 5\), need \(200, 3\)$"):
+        synth_bmp(X, 3, 0.5, 10, rng, index=index)
+
+
+# Per case: a public entry point given a bad value, and the EstimatorConfig
+# fields that hold the same value.
+BAD_VALUES = {
+    "knn_rex-m": (lambda X, marg, rng: synth_knn_rex(X, 3, 5, 10, rng),
+                  dict(method="knn_rex", k=3, m=5)),
+    "knn_rex-k0": (lambda X, marg, rng: synth_knn_rex(X, 0, 2, 10, rng),
+                   dict(method="knn_rex", k=0, m=2)),
+    "corrected-m": (lambda X, marg, rng: synth_bias_corrected(X, marg, 3, 5, rng),
+                    dict(method="knn_rex", k=3, m=5)),
+    "corrected-k0": (lambda X, marg, rng: synth_bias_corrected(X, marg, 0, 2, rng),
+                     dict(method="knn_rex", k=0, m=2)),
+    "fixed-h": (lambda X, marg, rng: synth_fixed_gaussian(X, math.nan, 10, rng),
+                dict(method="fixed_gaussian", h=math.nan)),
+    "bmp-h": (lambda X, marg, rng: synth_bmp(X, 4, math.nan, 10, rng),
+              dict(method="bmp", k=4, h=math.nan)),
+    "km-L": (lambda X, marg, rng: km_fit(X, 0, 3, rng, stall_limit=5),
+             dict(method="km_rex", L=0, m=3, stall_limit=5)),
+    "km-stall_limit": (lambda X, marg, rng: km_fit(X, 2, 3, rng, stall_limit=0),
+                       dict(method="km_rex", L=2, m=3, stall_limit=0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_entry_points_raise_the_message_of_validate(case):
+    call, fields = BAD_VALUES[case]
+    X = np.random.default_rng(0).normal(size=(30, 2))
+    marg = MarginalSpec(names=("x1",), edges=([-10.0, 10.0],), freqs=([5],), total=5)
+    with pytest.raises(BadParams) as expected:
+        EstimatorConfig(**fields).validate()
+    with pytest.raises(BadParams) as raised:
+        call(X, marg, np.random.default_rng(1))
+    assert str(raised.value) == str(expected.value)
 
 
 def test_knn_rex_mean_zero_on_symmetric_sample():
