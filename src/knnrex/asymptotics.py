@@ -82,16 +82,29 @@ def check_gradient(model: DensityModel, x: np.ndarray, step: float = 1e-5) -> fl
     return float(np.max(np.abs(grad - fd)) / scale)
 
 
-def ball_cov_theory(model: DensityModel, x: np.ndarray, delta: float) -> np.ndarray:
-    """Closed-form covariance of the density restricted to B(x, delta)."""
-    x = np.asarray(x, dtype=np.float64)
+def _check_delta(delta) -> None:
     if not 0 < delta < math.inf:  # also false for NaN
         raise BadParams(f"delta must be finite and > 0, got {delta}")
+
+
+def _density_at(model: DensityModel, x: np.ndarray) -> float:
+    """f(x) at the study point, which must be positive."""
     f_x = float(model.density(x[np.newaxis, :])[0])
     if f_x <= 0.0:
         raise ZeroDensity(f"density vanishes at the study point (f = {f_x:g})")
-    d = model.dim
-    grad = np.asarray(model.gradient(x), dtype=np.float64)
+    return f_x
+
+
+def ball_cov_theory(model: DensityModel, x: np.ndarray, delta: float) -> np.ndarray:
+    """Closed-form covariance of the density restricted to B(x, delta)."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_delta(delta)
+    f_x = _density_at(model, x)
+    return _cov_theory(model.dim, delta, f_x, np.asarray(model.gradient(x), dtype=np.float64))
+
+
+def _cov_theory(d, delta, f_x, grad):
+    """The closed form at a checked delta, density f_x > 0 and gradient grad."""
     first = delta**2 / (d + 2) * np.eye(d)
     rel = grad / f_x
     second = delta**4 / (d + 2) ** 2 * np.outer(rel, rel)
@@ -106,20 +119,19 @@ def ball_cov_mc(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Sample covariance (1/N) of f conditioned on B(x, delta), by rejection."""
+    _check_delta(delta)
     cov, _, _, _ = _ball_mc_detail(model, x, delta, n_samples, rng)
     return cov
 
 
 def _ball_mc_detail(model, x, delta, n_samples, rng):
-    """Returns (cov, se, acceptance_rate, mean).
+    """Returns (cov, se, acceptance_rate, mean) at a checked delta.
 
     se is the entrywise standard error of the covariance estimate, from the
     sample's fourth moments. Proposals are uniform in the bounding cube of
     the ball; acceptance is proportional to f (bounded by ``model.bound``).
     """
     x = np.asarray(x, dtype=np.float64)
-    if not 0 < delta < math.inf:  # also false for NaN
-        raise BadParams(f"delta must be finite and > 0, got {delta}")
     if n_samples < 1:
         raise BadParams(f"n_samples must be >= 1, got {n_samples}")
     d = model.dim
@@ -209,9 +221,7 @@ def asymptotics_report(
         raise BadParams("deltas must be strictly decreasing")
 
     d = model.dim
-    f_x = float(model.density(x[np.newaxis, :])[0])
-    if f_x <= 0.0:
-        raise ZeroDensity(f"density vanishes at the study point (f = {f_x:g})")
+    f_x = _density_at(model, x)
     grad = np.asarray(model.gradient(x), dtype=np.float64)
     with np.errstate(over="ignore"):
         grad_norm = float(np.linalg.norm(grad))
@@ -222,7 +232,7 @@ def asymptotics_report(
 
     entries = []
     for delta in deltas:
-        theory = ball_cov_theory(model, x, delta)
+        theory = _cov_theory(d, delta, f_x, grad)
         mc, se, rate, _ = _ball_mc_detail(model, x, delta, n_samples, rng)
         dev = np.abs(theory - mc)
         first = delta**2 / (d + 2)

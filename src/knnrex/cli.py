@@ -194,6 +194,7 @@ def cmd_synthesize(args, phases):
 
 
 def cmd_synthesize_corrected(args, phases):
+    EstimatorConfig("knn_rex", k=args.k, m=args.m).validate()  # before any input is read
     rng = np.random.default_rng(args.seed)
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
@@ -211,6 +212,24 @@ def cmd_synthesize_corrected(args, phases):
     )
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(synth, train.columns))
+
+
+def explain_corrected_failure(args, phases, exc):
+    """After a stall, print what the loop did and what is still missing, and
+    keep the same lines in the sidecar with the flags and the timings."""
+    if not isinstance(exc, StallLimit):
+        return
+    counts = [f"count_{name}: {exc.diagnostics[name]}" for name in CORRECTED_COUNTERS]
+    deficits = [f"deficit_{name}: {d}" for name, d in exc.diagnostics["deficits"].items()]
+    print("\n".join(counts + deficits), file=sys.stderr)
+    try:  # the sidecar's manifest holds the counts already
+        _write_output(args, phases, None, deficits)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+
+
+# Per command, what to print after main's error line of a failed run.
+EXPLAIN_FAILURE = {cmd_synthesize_corrected: explain_corrected_failure}
 
 
 def cmd_evaluate(args, phases):
@@ -421,16 +440,8 @@ def main(argv=None) -> int:
         _write_output(args, phases, args.func(args, phases))
     except KnnRexError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, StallLimit):  # what the loop did, and what is still missing
-            for name in CORRECTED_COUNTERS:
-                print(f"count_{name}: {exc.diagnostics[name]}", file=sys.stderr)
-            deficits = [f"deficit_{name}: {d}" for name, d in exc.diagnostics["deficits"].items()]
-            for line in deficits:
-                print(line, file=sys.stderr)
-            try:  # the sidecar keeps them, with the flags and the timings
-                _write_output(args, phases, None, deficits)
-            except OSError as err:
-                print(f"error: {err}", file=sys.stderr)
+        if args.func in EXPLAIN_FAILURE:  # the command's own account of its failure
+            EXPLAIN_FAILURE[args.func](args, phases, exc)
         return 1
     except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

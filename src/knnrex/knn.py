@@ -1,10 +1,14 @@
 """Exact k-nearest neighbors by naive all-pairs distances.
 
 The build is the O(d n^2) hot path of the whole pipeline. The build and the
-query share one core that works on row chunks to bound memory. Squared
-distances are used internally and distance ties are broken by ascending
-point index, so results are deterministic and match a brute-force oracle
-exactly: every row holds the first k entries of a stable sort of its
+query share one core that works on chunks of query rows, sized so that a
+chunk's temporaries stay within ``_CHUNK_BYTES`` (16 MiB). A build so holds
+this budget plus its (n, k) output; only past n of about 300k at d = 3, where
+one row alone needs more, does a chunk of one row exceed it. Each row gets
+the same arithmetic at any chunk size, so the budget changes no result.
+Squared distances are used internally and distance ties are broken by
+ascending point index, so results are deterministic and match a brute-force
+oracle exactly: every row holds the first k entries of a stable sort of its
 distances.
 
 The core selects rather than sorts. ``argpartition`` (introselect, O(n) per
@@ -22,8 +26,18 @@ import numpy as np
 
 from .errors import BadParams, KTooLarge
 
-# Rough cap on the number of temporary floats per distance chunk.
-_CHUNK_BUDGET = 8_000_000
+# Cap, in bytes, on the temporaries of one chunk of _nearest. A query row
+# holds 8 bytes per sample point in each of at most d + 4 arrays at once:
+# its d coordinate differences, its squared distances and three arrays of
+# the selection. Those are argpartition's int64 ids and, for a row tied at
+# the k boundary, a copy of its distances and their stable argsort; for a
+# query with k = n, the argsort and the gathered and rooted distances.
+_CHUNK_BYTES = 16 << 20
+
+
+def _row_bytes(n: int, d: int) -> int:
+    """Bytes of _nearest's temporaries per query row against n points in d dims."""
+    return 8 * n * (d + 4)
 
 
 @dataclass(frozen=True)
@@ -57,7 +71,7 @@ def _nearest(X: np.ndarray, Q: np.ndarray, k: int, exclude_self: bool):
     n, d = X.shape
     ids = np.empty((Q.shape[0], k), dtype=np.int64)
     dists = np.empty((Q.shape[0], k), dtype=np.float64)
-    chunk = max(1, _CHUNK_BUDGET // (n * d))
+    chunk = max(1, _CHUNK_BYTES // _row_bytes(n, d))
     for start in range(0, Q.shape[0], chunk):
         stop = min(start + chunk, Q.shape[0])
         diff = Q[start:stop, np.newaxis, :] - X[np.newaxis, :, :]

@@ -287,18 +287,13 @@ def test_c09_complexity():
     rng = np.random.default_rng(1)
     d, k = 4, 30
 
-    def best_time(fn, reps=3):
-        times = []
-        for _ in range(reps):
+    data = {n: rng.random((n, d)) for n in (2000, 4000)}
+    build = {n: float("inf") for n in data}
+    for _ in range(5):  # interleaved rounds, so a slow spell hits both sizes
+        for n, points in data.items():
             t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    build = {}
-    for n in (2000, 4000):
-        data = rng.random((n, d))
-        build[n] = best_time(lambda data=data: kx.build_knn(data, k))
+            kx.build_knn(points, k)
+            build[n] = min(build[n], time.perf_counter() - t0)
     build_ratio = build[4000] / build[2000]
 
     n = 4348

@@ -490,6 +490,8 @@ MALFORMED = [
      "BadParams: slope must be finite, got nan"),
     (["validate-asymptotics", "--density", "linear", "--slope", "1e200", "--samples", "100"], 1,
      "BadParams: gradient term (|grad f| / f)^2 at the study point overflows float64"),
+    (["synthesize-corrected", "--k", "3", "--m", "9", "--marginals", "{missing}", "--total", "10",
+      "--in", "{missing}"], 1, "BadParams: need 1 <= m <= k+1"),
 ]
 
 

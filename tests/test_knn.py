@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -146,7 +147,8 @@ def test_batch_query_is_the_same_in_chunks(monkeypatch):
     X = rng.integers(0, 4, size=(60, 3)).astype(np.float64)
     Q = rng.integers(-1, 5, size=(25, 3)).astype(np.float64)
     whole = query_neighbors(X, Q, 7)
-    monkeypatch.setattr(knnrex.knn, "_CHUNK_BUDGET", 2 * 60 * 3)  # two query rows per chunk
+    two_rows = 2 * knnrex.knn._row_bytes(60, 3)  # two query rows per chunk
+    monkeypatch.setattr(knnrex.knn, "_CHUNK_BYTES", two_rows)
     chunked = query_neighbors(X, Q, 7)
     assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
@@ -192,7 +194,8 @@ def _core_case(draw):
         scale = 2.0 ** draw(st.integers(-4, 4))
         X = rng.integers(-span, span + 1, size=(n, d)) * scale
         Q = rng.integers(-span, span + 1, size=(s, d)) * scale
-    budget = draw(st.sampled_from([n * d, 3 * n * d, knnrex.knn._CHUNK_BUDGET]))
+    row = knnrex.knn._row_bytes(n, d)
+    budget = draw(st.sampled_from([row, 3 * row, knnrex.knn._CHUNK_BYTES]))
     return X, Q, draw(st.integers(1, n - 1)), draw(st.integers(1, n)), budget
 
 
@@ -200,7 +203,7 @@ def _core_case(draw):
 @given(_core_case())
 def test_build_and_query_equal_the_sorted_reference(case):
     X, Q, k, kq, budget = case
-    with mock.patch.object(knnrex.knn, "_CHUNK_BUDGET", budget):
+    with mock.patch.object(knnrex.knn, "_CHUNK_BYTES", budget):
         index = build_knn(X, k)
         ids, dists = query_neighbors(X, Q, kq)
     ref_ids, ref_dists = sorted_chunk_reference(X, X, k, exclude_self=True)
@@ -232,3 +235,29 @@ def test_tie_at_the_k_boundary_goes_to_the_lower_index():
     X = np.array([[2], [1], [-2], [0], [-1], [2], [-2], [1]], dtype=np.float64)
     ids, dists = query_neighbors(X, np.zeros(1), 3)
     assert list(ids) == [3, 1, 4] and list(dists) == [0.0, 1.0, 1.0]
+
+
+def test_working_set_is_the_chunk_budget_plus_the_output():
+    # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+    # The integer grid ties most rows at the k boundary (the full-sort
+    # fallback), and a query with k = n sorts every row.
+    rng = np.random.default_rng(4)
+    n, d, k = 4000, 3, 30
+    X = rng.normal(size=(n, d))
+    grid = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    Q = rng.normal(size=(2000, d))
+    for run, rows, cols in [
+        (lambda: build_knn(X, k), n, k),
+        (lambda: build_knn(grid, k), n, k),
+        (lambda: query_neighbors(X, Q, k), len(Q), k),
+        (lambda: query_neighbors(X, Q[:100], n), 100, n),
+    ]:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = rows * cols * 16  # int64 ids and float64 distances
+        # slack for the (rows, k) candidate arrays and interpreter objects
+        assert peak <= knnrex.knn._CHUNK_BYTES + output + (1 << 20), (rows, cols, peak)
