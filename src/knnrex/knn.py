@@ -6,6 +6,8 @@ chunk's temporaries stay within ``_CHUNK_BYTES`` (16 MiB). A build so holds
 this budget plus its (n, k) output; only past n of about 300k at d = 3, where
 one row alone needs more, does a chunk of one row exceed it. Each row gets
 the same arithmetic at any chunk size, so the budget changes no result.
+A call allocates its difference and squared-distance buffers once, sized
+for one chunk, and reuses them for every chunk.
 Squared distances are used internally and distance ties are broken by
 ascending point index, so results are deterministic and match a brute-force
 oracle exactly: every row holds the first k entries of a stable sort of its
@@ -71,11 +73,16 @@ def _nearest(X: np.ndarray, Q: np.ndarray, k: int, exclude_self: bool):
     n, d = X.shape
     ids = np.empty((Q.shape[0], k), dtype=np.int64)
     dists = np.empty((Q.shape[0], k), dtype=np.float64)
-    chunk = max(1, _CHUNK_BYTES // _row_bytes(n, d))
+    chunk = max(1, min(_CHUNK_BYTES // _row_bytes(n, d), Q.shape[0]))
+    # The two largest temporaries are allocated once per call and every chunk
+    # writes into them. A fresh pair per chunk let the allocator return their
+    # pages to the kernel and fault them in again, thousands of pages a call.
+    diff_buf = np.empty((chunk, n, d))
+    d2_buf = np.empty((chunk, n))
     for start in range(0, Q.shape[0], chunk):
         stop = min(start + chunk, Q.shape[0])
-        diff = Q[start:stop, np.newaxis, :] - X[np.newaxis, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        diff = np.subtract(Q[start:stop, np.newaxis, :], X[np.newaxis, :, :], out=diff_buf[: stop - start])
+        d2 = np.einsum("ijk,ijk->ij", diff, diff, out=d2_buf[: stop - start])
         if exclude_self:
             d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         order = _k_smallest(d2, k)
