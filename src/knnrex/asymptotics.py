@@ -120,12 +120,12 @@ def ball_cov_mc(
 ) -> np.ndarray:
     """Sample covariance (1/N) of f conditioned on B(x, delta), by rejection."""
     _check_delta(delta)
-    cov, _, _, _ = _ball_mc_detail(model, x, delta, n_samples, rng)
+    cov, _, _ = _ball_mc_detail(model, x, delta, n_samples, rng)
     return cov
 
 
 def _ball_mc_detail(model, x, delta, n_samples, rng):
-    """Returns (cov, se, acceptance_rate, mean) at a checked delta.
+    """Returns (cov, se, acceptance_rate) at a checked delta.
 
     se is the entrywise standard error of the covariance estimate, from the
     sample's fourth moments. Proposals are uniform in the bounding cube of
@@ -164,7 +164,7 @@ def _ball_mc_detail(model, x, delta, n_samples, rng):
     # Var((z_i z_j)) / N estimated from fourth moments.
     prod = dev[:, :, np.newaxis] * dev[:, np.newaxis, :]
     se = np.sqrt(np.maximum((prod * prod).mean(axis=0) - cov * cov, 0.0) / n_samples)
-    return cov, se, accepted / proposed, mean
+    return cov, se, accepted / proposed
 
 
 @dataclass
@@ -233,7 +233,7 @@ def asymptotics_report(
     entries = []
     for delta in deltas:
         theory = _cov_theory(d, delta, f_x, grad)
-        mc, se, rate, _ = _ball_mc_detail(model, x, delta, n_samples, rng)
+        mc, se, rate = _ball_mc_detail(model, x, delta, n_samples, rng)
         dev = np.abs(theory - mc)
         first = delta**2 / (d + 2)
         predicted = delta**4 / (d + 2) ** 2 * gradient_term

@@ -403,7 +403,7 @@ def build_parser():
     ev = subs.add_parser("evaluate", help="binned Hellinger distance between two CSVs")
     ev.add_argument("--a", required=True)
     ev.add_argument("--b", required=True)
-    ev.add_argument("--bins", type=int, default=10)
+    ev.add_argument("--bins", type=_int_at_least(1), default=10)
     ev.add_argument("--out")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -413,8 +413,8 @@ def build_parser():
     ):
         sub = subs.add_parser(name, help=summary)
         _add_method_flags(sub, lists=lists)
-        sub.add_argument("--folds", type=int, default=100)
-        sub.add_argument("--bins", type=int, default=10)
+        sub.add_argument("--folds", type=_int_at_least(2), default=100)
+        sub.add_argument("--bins", type=_int_at_least(1), default=10)
         sub.add_argument("--threads", type=_int_at_least(1), default=1)
         sub.add_argument("--in", required=True)
         sub.add_argument("--out")

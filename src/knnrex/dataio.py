@@ -9,6 +9,7 @@ written file gives back the same floats.
 """
 
 import csv
+import math
 import os
 import signal
 import stat
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, CsvFormatError
-from .estimators import MarginalSpec
+from .estimators import MarginalSpec, default_columns
 
 # Rows formatted per write call. A block's field list and text take about
 # 3.5 MB per column at their peak (11 MB at d = 3), whatever the population
@@ -46,10 +47,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-
-def default_columns(dim: int) -> list:
-    return [f"x{i + 1}" for i in range(dim)]
 
 
 def read_points_csv(path) -> PointSet:
@@ -121,30 +118,23 @@ def _read_rows(path, handle) -> PointSet:
     if not columns or any(not name for name in columns):
         raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
     rows = []
-    blank_lines = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
-            blank_lines.append(lineno)
             continue
         if len(row) != len(columns):
             raise CsvFormatError(
                 f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
             )
         try:
-            rows.append([float(field) for field in row])
+            values = [float(field) for field in row]
         except ValueError:
             raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {row!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite field in {values!r}")
+        rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(values).all():
-        row = int(np.argmin(np.isfinite(values).all(axis=1)))
-        lineno = row + 2
-        for blank in blank_lines:  # skipped blank lines shift the data rows down
-            if blank <= lineno:
-                lineno += 1
-        raise CsvFormatError(f"{path}: line {lineno}: non-finite field in {rows[row]!r}")
-    return PointSet(values=values, columns=columns)
+    return PointSet(values=np.asarray(rows, dtype=np.float64), columns=columns)
 
 
 def write_points_csv(path, points: PointSet) -> None:

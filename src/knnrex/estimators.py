@@ -319,6 +319,10 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
     return np.sign(values) * np.floor(np.abs(values) + 0.5)
 
 
+def default_columns(dim: int) -> list:
+    return [f"x{i + 1}" for i in range(dim)]
+
+
 def check_corrected(X, marginals: MarginalSpec, k: int, m: int, columns=None):
     """Check the inputs of ``synth_bias_corrected`` against each other.
 
@@ -330,7 +334,7 @@ def check_corrected(X, marginals: MarginalSpec, k: int, m: int, columns=None):
     X = _sample(X)
     EstimatorConfig("knn_rex", k=k, m=m).validate()
     if columns is None:
-        columns = [f"x{i + 1}" for i in range(X.shape[1])]
+        columns = default_columns(X.shape[1])
     try:
         var_cols = [list(columns).index(name) for name in marginals.names]
     except ValueError as exc:

@@ -1,10 +1,9 @@
 """Binned Hellinger distance, inverted cross-validation, and Welch's t-test.
 
 Binning is equal-width per dimension over the range of whatever data the
-spec is built from. A joint bin is its tuple of per-dimension indices,
-folded into one int64 mixed-radix key; only occupied bins are counted, so
-high-dimensional comparisons stay feasible. Mixed-radix keys sort like the
-tuples they encode, so the occupied bins come out in lexicographic order.
+spec is built from. A joint bin is its tuple of per-dimension indices; only
+occupied bins are counted, in the lexicographic order of their tuples, so
+high-dimensional comparisons stay feasible.
 Inverted cross-validation trains on one small fold and scores the synthetic
 population against the remaining folds.
 """
@@ -50,8 +49,7 @@ class BinningSpec:
         """Per-dimension bin indices, shape (n, d), clamped into range."""
         X = self.checked(X)
         out = np.empty(X.shape, dtype=np.int64)
-        for j, edges in enumerate(self.edges):
-            nb = max(edges.size - 1, 1)
+        for j, (edges, nb) in enumerate(zip(self.edges, self.bins_per_dim())):
             idx = np.searchsorted(edges, X[:, j], side="right") - 1
             out[:, j] = np.clip(idx, 0, nb - 1)
         return out
@@ -80,30 +78,24 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
     """Hellinger distance between the binned histograms of Y and Z, in [0, 1].
 
     Summation runs over the union of occupied bins; bins empty in both sets
-    contribute nothing. Each point's bin-index tuple is folded into one
-    integer key, ``key = key * nb_j + idx_j`` over the dimensions j. These
-    mixed-radix keys sort in the lexicographic order of the tuples, so the
-    occupied bins, their counts and the order of the final sum are those of
-    a row-wise unique over the tuples, and the result is bit-identical to it.
-    Before a dimension would take the key span past 2**62, the keys are
-    replaced by their ranks among the distinct keys, which keeps their order
-    and bounds the span by the number of points.
+    contribute nothing. Where the joint bins number at most 2**62, each
+    point's bin-index tuple is keyed as one int64 by its C-order strides;
+    past that, the tuples themselves are compared by a row-wise unique. Both
+    keys order the occupied bins lexicographically by tuple, so both give
+    the same counts in the same summation order, bit for bit.
     """
     Y = np.asarray(Y, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
     if Y.shape[0] == 0 or Z.shape[0] == 0:
         raise EmptyData("hellinger requires two non-empty point sets")
     both = binning.assign(np.concatenate([binning.checked(Y), binning.checked(Z)]))
-    keys = np.zeros(both.shape[0], dtype=np.int64)
-    span = 1
-    for j, nb in enumerate(binning.bins_per_dim()):
-        if span * nb > 2**62:  # keep key * nb + idx inside int64
-            _, keys = np.unique(keys, return_inverse=True)
-            span = int(keys.max()) + 1
-        keys *= nb
-        keys += both[:, j]
-        span *= nb
-    _, inverse = np.unique(keys, return_inverse=True)
+    bins = binning.bins_per_dim()
+    if math.prod(bins) <= 2**62:
+        strides = np.cumprod((bins + (1,))[:0:-1], dtype=np.int64)[::-1]  # prod(bins[j + 1 :])
+        _, inverse = np.unique(both @ strides, return_inverse=True)
+    else:
+        _, inverse = np.unique(both, axis=0, return_inverse=True)
+        inverse = inverse.ravel()  # its shape differs across numpy 2.0.x releases
     n_bins = int(inverse.max()) + 1
     cy = np.bincount(inverse[: Y.shape[0]], minlength=n_bins)
     cz = np.bincount(inverse[Y.shape[0] :], minlength=n_bins)

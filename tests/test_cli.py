@@ -492,6 +492,16 @@ MALFORMED = [
      "BadParams: gradient term (|grad f| / f)^2 at the study point overflows float64"),
     (["synthesize-corrected", "--k", "3", "--m", "9", "--marginals", "{missing}", "--total", "10",
       "--in", "{missing}"], 1, "BadParams: need 1 <= m <= k+1"),
+    (["evaluate", "--a", "{missing}", "--b", "{missing}", "--bins", "0"], 2,
+     "--bins: must be >= 1, got 0"),
+    (["icv", "--method", "knn-rex", "--bins", "-3", "--in", "{missing}"], 2,
+     "--bins: must be >= 1, got -3"),
+    (["icv", "--method", "knn-rex", "--folds", "1", "--in", "{missing}"], 2,
+     "--folds: must be >= 2, got 1"),
+    (["sweep", "--method", "knn-rex", "--k", "5", "--bins", "0", "--in", "{missing}"], 2,
+     "--bins: must be >= 1, got 0"),
+    (["sweep", "--method", "knn-rex", "--k", "5", "--folds", "0", "--in", "{missing}"], 2,
+     "--folds: must be >= 2, got 0"),
 ]
 
 

@@ -250,6 +250,8 @@ def test_read_points_accepted_forms(tmp_path, text, columns, values):
         ("a,b\n\n1,2\n\n3\n", "line 5: expected 2 fields, got 1"),
         ('a,b\n"1,5",2\n', "line 2: non-numeric"),  # a quoted comma is not a decimal point
         ("a,b\r\n1,2\r\n\r\n3,nan\r\n", "line 4: non-finite"),
+        ("a,b\n1,2\nnan,3\n4,x\n", "line 3: non-finite"),  # the first bad line, not a later one
+        ("a,b\n1,2\n\ninf,3\n4\n", "line 4: non-finite"),
     ],
 )
 def test_read_points_diagnostic_lines(tmp_path, text, message):
@@ -271,10 +273,8 @@ def reference_read_points_csv(path):
         if not columns or any(not name for name in columns):
             raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
         rows = []
-        blank_lines = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
-                blank_lines.append(lineno)
                 continue
             if len(row) != len(columns):
                 raise CsvFormatError(
@@ -284,16 +284,11 @@ def reference_read_points_csv(path):
                 rows.append([float(field) for field in row])
             except ValueError:
                 raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {row!r}") from None
+            if not np.isfinite(rows[-1]).all():
+                raise CsvFormatError(f"{path}: line {lineno}: non-finite field in {rows[-1]!r}")
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(values).all():
-        row = int(np.argmin(np.isfinite(values).all(axis=1)))
-        lineno = row + 2
-        for blank in blank_lines:  # skipped blank lines shift the data rows down
-            if blank <= lineno:
-                lineno += 1
-        raise CsvFormatError(f"{path}: line {lineno}: non-finite field in {rows[row]!r}")
     return PointSet(values=values, columns=columns)
 
 

@@ -200,17 +200,35 @@ def test_hellinger_bounded_symmetric_and_zero_on_itself(case):
 
 
 def test_hellinger_bit_identical_when_keys_compact():
-    # 10**20 joint bins overflow int64, so the keys are compacted mid-fold.
+    # 10**20 joint bins overflow int64, so the tuples take the row-wise unique.
     spec = make_binning(np.array([[0.0] * 20, [10.0] * 20]), 10)
     assert math.prod(spec.bins_per_dim()) > 2**63
     # Unit-width bins; the digits of 2**64 as a bin tuple would wrap to the
-    # key of the all-zero tuple if the keys were folded without compaction.
+    # key of the all-zero tuple if they were keyed by int64 strides.
     wrap = np.array([[int(c) + 0.5 for c in str(2**64)]])
     zero = np.full((1, 20), 0.5)
     assert hellinger(wrap, zero, spec) == row_unique_hellinger(wrap, zero, spec) == 1.0
     rng = np.random.default_rng(10)
     Y = rng.uniform(0.0, 10.0, size=(500, 20))
     Z = np.concatenate([Y[:200], wrap, np.round(rng.normal(5.0, 3.0, size=(300, 20)))])
+    assert hellinger(Y, Z, spec) == row_unique_hellinger(Y, Z, spec)
+
+
+@pytest.mark.parametrize(
+    "d, bins, keyed",
+    [
+        (31, 4, True),  # exactly 2**62 joint bins: the largest keyed by int64 strides
+        (32, 4, False),  # 2**64 joint bins: the row-wise unique
+        (70, 1, True),  # one joint bin, past the index-array limit of np.ravel_multi_index
+    ],
+)
+def test_hellinger_bit_identical_at_the_key_limit(d, bins, keyed):
+    spec = make_binning(np.array([[0.0] * d, [1.0] * d]), bins)
+    assert (math.prod(spec.bins_per_dim()) <= 2**62) == keyed
+    rng = np.random.default_rng(d)
+    Y = rng.uniform(-0.2, 1.2, size=(300, d))
+    Z = np.concatenate([Y[:100], np.round(rng.uniform(0.0, 1.0, size=(200, d)), 1)])
+    Z[:10] = spec.edges[0][-1]  # the last bin of every dimension: the largest key
     assert hellinger(Y, Z, spec) == row_unique_hellinger(Y, Z, spec)
 
 
