@@ -162,12 +162,8 @@ def cmd_gen_data(args, phases):
             try:
                 with open(args.spec, "r", encoding="utf-8") as handle:
                     raw = json.load(handle)
-                spec = GmmSpec(
-                    weights=np.asarray(raw["weights"]),
-                    means=np.asarray(raw["means"]),
-                    covs=np.asarray(raw["covs"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                spec = GmmSpec(weights=raw["weights"], means=raw["means"], covs=raw["covs"])
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8 errors
                 raise BadSpec(f"{args.spec}: malformed mixture description: {exc}") from None
             values = gen_gmm(spec, args.n, rng)
     with phases.measure("write"):

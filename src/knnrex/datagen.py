@@ -33,21 +33,30 @@ def gen_ring(n: int, rng: np.random.Generator, radius: float = 1.0, sigma: float
 
 @dataclass(frozen=True)
 class GmmSpec:
-    """Mixture weights, component means and covariance matrices."""
+    """Mixture weights, component means and covariance matrices, converted
+    to float64 and checked when made: a malformed spec raises BadSpec."""
 
     weights: np.ndarray
     means: np.ndarray   # (K, d)
     covs: np.ndarray    # (K, d, d)
 
+    def __post_init__(self):
+        for name in ("weights", "means", "covs"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            except (ValueError, TypeError) as exc:
+                raise BadSpec(f"{name}: {exc}") from None
+        self.validate()
+
     def validate(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.float64)
-        covs = np.asarray(self.covs, dtype=np.float64)
+        w, means, covs = self.weights, self.means, self.covs
         if w.ndim != 1 or means.ndim != 2 or covs.ndim != 3:
             raise BadSpec("weights (K,), means (K,d), covs (K,d,d) expected")
         k, d = means.shape
         if w.size != k or covs.shape != (k, d, d):
             raise BadSpec("component counts of weights, means, covs disagree")
+        if not (np.isfinite(w).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
+            raise BadSpec("weights, means and covs must be finite")
         if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
             raise BadSpec("weights must be non-negative and sum to 1")
         for j in range(k):
@@ -61,19 +70,15 @@ class GmmSpec:
 
 def gen_gmm(spec: GmmSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the Gaussian mixture."""
-    spec.validate()
     if n < 1:
         raise BadParams(f"n must be >= 1, got {n}")
-    weights = np.asarray(spec.weights, dtype=np.float64)
-    means = np.asarray(spec.means, dtype=np.float64)
-    covs = np.asarray(spec.covs, dtype=np.float64)
-    k, d = means.shape
-    assignment = rng.choice(k, size=n, p=weights)
+    k, d = spec.means.shape
+    assignment = rng.choice(k, size=n, p=spec.weights)
     out = np.empty((n, d))
     for j in range(k):
         mask = assignment == j
         count = int(mask.sum())
         if count:
-            chol = np.linalg.cholesky(covs[j])
-            out[mask] = means[j] + rng.standard_normal((count, d)) @ chol.T
+            chol = np.linalg.cholesky(spec.covs[j])
+            out[mask] = spec.means[j] + rng.standard_normal((count, d)) @ chol.T
     return out

@@ -3,9 +3,12 @@
 Point CSVs: UTF-8, one header row with column names, decimal point, one
 record per line. Marginal files: header ``variable,lo,hi,freq``; rows for
 one variable must tile its range contiguously (each hi equals the next lo).
-Parse errors report the offending line number. Values are written as
-float64 in their shortest round-trip form, ``repr(float(v))``, so reading a
-written file gives back the same floats.
+Every reader takes its records from ``_csv_rows`` and its header by one
+rule, ``_header``, and checks each record as it arrives, so a parse error
+names the first bad record by the line it ends on. A leading UTF-8
+byte-order mark is ignored. Values are written as float64 in their
+shortest round-trip form, ``repr(float(v))``, so reading a written file
+gives back the same floats.
 """
 
 import csv
@@ -52,18 +55,18 @@ class PointSet:
 def read_points_csv(path) -> PointSet:
     """Read a point CSV: the body in one bulk parse where that is known to
     give the row loop's result, and by the row loop otherwise, which alone
-    raises the diagnostics and their line numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        points = _read_bulk(handle)
+    raises the body's diagnostics and their line numbers."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        points = _read_bulk(path, handle)
         if points is None:
             handle.seek(0)
             points = _read_rows(path, handle)
     return points
 
 
-def _read_bulk(handle):
-    """The header by ``csv`` and the body by one ``np.loadtxt`` call, or None
-    where the row loop must decide.
+def _read_bulk(path, handle):
+    """The header by ``_header`` and the body after it by one ``np.loadtxt``
+    call on the same handle, or None where the row loop must decide.
 
     ``np.loadtxt`` parses floats as ``float()`` does, bit for bit, but it
     strips the ASCII separators U+001C..U+001F as whitespace, which
@@ -71,23 +74,19 @@ def _read_bulk(handle):
     ``float()`` accepts more (quoted fields, ``1_000``, non-ASCII digits),
     ``np.loadtxt`` raises and the row loop runs. ``comments=None``: with
     ``#`` as comment mark, ``1#x`` would parse as 1. Blank lines are skipped
-    by both. Non-finite values go to the row loop for their line number.
+    by both. Non-finite values go to the row loop for their line number. A
+    header that breaks the rule raises here what the row loop would raise.
     """
     try:
         for chunk in iter(lambda: handle.read(_SCAN_CHARS), ""):
             if any(char in chunk for char in _LOADTXT_ONLY_SPACE):
                 return None
         handle.seek(0)
-        first = handle.readline()
-        if '"' in first:  # a quoted header may span lines or hide commas
-            return None
-        columns = [name.strip() for name in next(csv.reader([first]))]
-        if not columns or not all(columns):
-            return None
+        columns = _header(path, _csv_rows(path, handle))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. "input contained no data"
             values = np.loadtxt(handle, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except (ValueError, csv.Error, Warning):  # undecodable or unparsable: the row loop decides
+    except (ValueError, Warning):  # undecodable or unparsable: the row loop decides
         return None
     if values.shape[0] == 0 or values.shape[1] != len(columns) or not np.isfinite(values).all():
         return None
@@ -95,46 +94,52 @@ def _read_bulk(handle):
 
 
 def _csv_rows(path, handle):
-    """The rows of ``csv.reader(handle)``; bytes that are not UTF-8 and the
+    """``(line, row)`` for each record of ``csv.reader(handle)``, ``line``
+    being the line the record ends on; bytes that are not UTF-8 and the
     reader's own errors (such as a field over its size limit) become
     CsvFormatError naming the file."""
     reader = csv.reader(handle)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise CsvFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _read_rows(path, handle) -> PointSet:
-    """Parse row by row with ``csv`` and ``float()``, raising on the first bad line."""
-    reader = _csv_rows(path, handle)
+def _header(path, rows) -> list:
+    """The stripped names of the first record of ``rows``, each non-empty."""
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise CsvFormatError(f"{path}: empty file") from None
     columns = [name.strip() for name in header]
-    if not columns or any(not name for name in columns):
+    if not columns or not all(columns):
         raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
+    return columns
+
+
+def _read_rows(path, handle) -> PointSet:
+    """Parse row by row with ``csv`` and ``float()``, raising on the first bad line."""
+    rows = _csv_rows(path, handle)
+    columns = _header(path, rows)
+    points = []
+    for line, row in rows:
         if not row:
             continue
         if len(row) != len(columns):
-            raise CsvFormatError(
-                f"{path}: line {lineno}: expected {len(columns)} fields, got {len(row)}"
-            )
+            raise CsvFormatError(f"{path}: line {line}: expected {len(columns)} fields, got {len(row)}")
         try:
             values = [float(field) for field in row]
         except ValueError:
-            raise CsvFormatError(f"{path}: line {lineno}: non-numeric field in {row!r}") from None
+            raise CsvFormatError(f"{path}: line {line}: non-numeric field in {row!r}") from None
         if not all(map(math.isfinite, values)):
-            raise CsvFormatError(f"{path}: line {lineno}: non-finite field in {values!r}")
-        rows.append(values)
-    if not rows:
+            raise CsvFormatError(f"{path}: line {line}: non-finite field in {values!r}")
+        points.append(values)
+    if not points:
         raise CsvFormatError(f"{path}: no data rows")
-    return PointSet(values=np.asarray(rows, dtype=np.float64), columns=columns)
+    return PointSet(values=np.asarray(points, dtype=np.float64), columns=columns)
 
 
 def write_points_csv(path, points: PointSet) -> None:
@@ -231,50 +236,34 @@ def _forked_formatter(path, line, rows):
 
 
 def read_marginals_csv(path, total: int) -> MarginalSpec:
-    """Parse a ``variable,lo,hi,freq`` file into a MarginalSpec."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = _csv_rows(path, handle)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        if header != ["variable", "lo", "hi", "freq"]:
-            raise CsvFormatError(f"{path}: line 1: expected header variable,lo,hi,freq, got {header!r}")
-        per_var: dict = {}
-        for lineno, row in enumerate(reader, start=2):
+    """Parse a ``variable,lo,hi,freq`` file into a MarginalSpec, checking
+    each record as it is read, so an error names the first bad line."""
+    edges: dict = {}
+    freqs: dict = {}
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        rows = _csv_rows(path, handle)
+        columns = _header(path, rows)
+        if columns != ["variable", "lo", "hi", "freq"]:
+            raise CsvFormatError(f"{path}: line 1: expected header variable,lo,hi,freq, got {columns!r}")
+        for line, row in rows:
             if not row:
                 continue
             if len(row) != 4:
-                raise CsvFormatError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+                raise CsvFormatError(f"{path}: line {line}: expected 4 fields, got {len(row)}")
             name = row[0].strip()
             try:
-                lo, hi = float(row[1]), float(row[2])
-                freq = int(row[3])
+                lo, hi, freq = float(row[1]), float(row[2]), int(row[3])
             except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: malformed record {row!r}") from None
-            per_var.setdefault(name, []).append((lineno, lo, hi, freq))
-    if not per_var:
-        raise CsvFormatError(f"{path}: no bin records")
-
-    names, edges, freqs = [], [], []
-    for name, bins in per_var.items():
-        prev_hi = None
-        var_edges = []
-        var_freqs = []
-        for lineno, lo, hi, freq in bins:
+                raise CsvFormatError(f"{path}: line {line}: malformed record {row!r}") from None
             if hi <= lo:
-                raise BadSpec(f"{path}: line {lineno}: bin [{lo}, {hi}) is empty or inverted")
-            if prev_hi is None:
-                var_edges.append(lo)
-            elif lo != prev_hi:
+                raise BadSpec(f"{path}: line {line}: bin [{lo}, {hi}) is empty or inverted")
+            if name in edges and lo != edges[name][-1]:
                 raise BadSpec(
-                    f"{path}: line {lineno}: bins for {name!r} must tile the range "
-                    f"(gap between {prev_hi} and {lo})"
+                    f"{path}: line {line}: bins for {name!r} must tile the range "
+                    f"(gap between {edges[name][-1]} and {lo})"
                 )
-            var_edges.append(hi)
-            var_freqs.append(freq)
-            prev_hi = hi
-        names.append(name)
-        edges.append(np.asarray(var_edges))
-        freqs.append(np.asarray(var_freqs))
-    return MarginalSpec(names=tuple(names), edges=tuple(edges), freqs=tuple(freqs), total=total)
+            edges.setdefault(name, [lo]).append(hi)
+            freqs.setdefault(name, []).append(freq)
+    if not edges:
+        raise CsvFormatError(f"{path}: no bin records")
+    return MarginalSpec(names=tuple(edges), edges=tuple(edges.values()), freqs=tuple(freqs.values()), total=total)

@@ -399,6 +399,19 @@ def test_malformed_gmm_spec_exit_1(tmp_path, capsys):
                     "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
     assert code == 1
 
+    for text in (
+        b'{"weights": [0.5, 0.5], "means": [[1.0, 2.0], [3.0]], "covs": [[[1.0]]]}',  # ragged
+        b'{"weights": [1.0], "means": [["a"]], "covs": [[[1.0]]]}',  # not a number
+        b'{"weights": [NaN], "means": [[0.0]], "covs": [[[1.0]]]}',
+        b'{"weights": [1.0], "means": [[1e999]], "covs": [[[1.0]]]}',  # infinite once parsed
+        b'{"weights": [1.0], "means": [[0.0]], "covs": [[[1.0]]], "name": "\xff"}',  # not UTF-8
+    ):
+        spec.write_bytes(text)
+        code = run_cli(["gen-data", "--dataset", "gmm", "--n", "10", "--seed", "0",
+                        "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "BadSpec" in capsys.readouterr().err
+
 
 def test_version():
     assert run_cli(["--version"]) == 0

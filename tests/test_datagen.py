@@ -72,6 +72,8 @@ def test_gmm_component_frequencies():
 
 
 def test_gmm_bad_specs():
+    with pytest.raises(BadSpec, match="finite"):  # construction alone checks the spec
+        GmmSpec(weights=[1.0], means=[[1e999]], covs=[[[1.0]]])
     with pytest.raises(BadSpec):
         GmmSpec(weights=np.array([0.5, 0.4]), means=np.zeros((2, 1)), covs=np.ones((2, 1, 1))).validate()
     with pytest.raises(BadSpec):

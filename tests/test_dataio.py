@@ -190,6 +190,8 @@ def test_marginals_round_trip(tmp_path):
     assert marg.names == ("age", "income")
     assert np.allclose(marg.edges[0], [0, 18, 65, 120])
     assert np.array_equal(marg.freqs[1], [60, 40])
+    path.write_bytes("\ufeff".encode() + path.read_bytes())  # a leading byte-order mark is ignored
+    assert read_marginals_csv(path, total=100).names == ("age", "income")
 
 
 def test_marginals_must_tile(tmp_path):
@@ -221,6 +223,22 @@ def test_marginals_format_errors(tmp_path):
         read_marginals_csv(path, total=50)
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        # the gap on line 3 comes before the malformed record on line 4
+        ("age,0,18,50\nage,20,65,50\nage,65,x,1\n", "line 3: bins for 'age' must tile"),
+        # a's gap on line 4 comes before b's on line 6
+        ("b,0,1,5\na,0,1,5\na,2,3,5\nb,1,2,5\nb,5,6,5\n", "line 4: bins for 'a' must tile"),
+    ],
+)
+def test_marginals_report_the_first_bad_line(tmp_path, records, message):
+    path = tmp_path / "marg.csv"
+    path.write_text("variable,lo,hi,freq\n" + records)
+    with pytest.raises(BadSpec, match=message):
+        read_marginals_csv(path, total=100)
+
+
 # Pinned behaviour of read_points_csv: what it accepts, and the line numbers
 # its diagnostics carry (blank lines count).
 
@@ -233,6 +251,7 @@ def test_marginals_format_errors(tmp_path):
         ("a,b\n1_000,2\n", ["a", "b"], [[1000.0, 2.0]]),  # Python float() syntax
         ("a,b\r\n1,2\r\n3,4\r\n", ["a", "b"], [[1.0, 2.0], [3.0, 4.0]]),  # CRLF
         ("a,b\n\n1,2\n\n\n3,4\n\n", ["a", "b"], [[1.0, 2.0], [3.0, 4.0]]),  # blank lines skipped
+        ('\ufeffa,b\n"1",2\n', ["a", "b"], [[1.0, 2.0]]),  # byte-order mark, row loop
     ],
 )
 def test_read_points_accepted_forms(tmp_path, text, columns, values):
@@ -252,6 +271,8 @@ def test_read_points_accepted_forms(tmp_path, text, columns, values):
         ("a,b\r\n1,2\r\n\r\n3,nan\r\n", "line 4: non-finite"),
         ("a,b\n1,2\nnan,3\n4,x\n", "line 3: non-finite"),  # the first bad line, not a later one
         ("a,b\n1,2\n\ninf,3\n4\n", "line 4: non-finite"),
+        ('a,b\n"1\n",2\nx,3\n', "line 4: non-numeric"),  # a record over two lines
+        ('"a\nb",c\n1,2\nx,3\n', "line 4: non-numeric"),  # a header over two lines
     ],
 )
 def test_read_points_diagnostic_lines(tmp_path, text, message):
@@ -263,7 +284,7 @@ def test_read_points_diagnostic_lines(tmp_path, text, message):
 
 def reference_read_points_csv(path):
     """The former row-by-row reader, frozen as the oracle of read_points_csv."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -273,7 +294,8 @@ def reference_read_points_csv(path):
         if not columns or any(not name for name in columns):
             raise CsvFormatError(f"{path}: line 1: malformed header {header!r}")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(columns):
@@ -381,9 +403,14 @@ def test_read_points_written_file_takes_the_bulk_path(tmp_path, monkeypatch):
     def row_loop(path, handle):
         raise AssertionError("row loop ran on a plain file")
 
+    path = tmp_path / "pts.csv"
     values = _values(500, 3, np.float64, seed=5)
-    write_points_csv(tmp_path / "pts.csv", PointSet(values, ["a", "b", "c"]))
+    write_points_csv(path, PointSet(values, ["a", "b", "c"]))
+    body = path.read_bytes().partition(b"\n")[2]
     monkeypatch.setattr(dataio, "_read_rows", row_loop)
-    back = read_points_csv(tmp_path / "pts.csv")
-    assert back.columns == ["a", "b", "c"]
-    assert back.values.tobytes() == values.tobytes()
+    # as written, with the quoted header R's write.csv gives, and with a byte-order mark
+    for header in (b"a,b,c\n", b'"a","b","c"\n', "\ufeffa,b,c\n".encode()):
+        path.write_bytes(header + body)
+        back = read_points_csv(path)
+        assert back.columns == ["a", "b", "c"]
+        assert back.values.tobytes() == values.tobytes()
