@@ -13,7 +13,6 @@ import itertools
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -24,7 +23,7 @@ from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import BadParams, BadSpec, KnnRexError, StallLimit
 from .estimators import CORRECTED_COUNTERS, EstimatorConfig, synth_bias_corrected, synthesize
-from .evaluation import icv_run, icv_sweep, union_hellinger
+from .evaluation import icv_run, icv_sweep, timed, union_hellinger
 
 METHOD_FLAGS = {
     "knn-rex": "knn_rex",
@@ -60,14 +59,9 @@ class _Phases:
         self.counts = {}
         self._t0 = time.perf_counter()
 
-    @contextmanager
     def measure(self, name):
         """Add the block's wall-clock seconds to phase ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+        return timed(self.seconds, name)
 
     def total(self):
         return time.perf_counter() - self._t0
@@ -165,6 +159,8 @@ def cmd_gen_data(args, phases):
                 spec = GmmSpec(weights=raw["weights"], means=raw["means"], covs=raw["covs"])
             except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8 errors
                 raise BadSpec(f"{args.spec}: malformed mixture description: {exc}") from None
+            except BadSpec as exc:  # parsed, but not a valid mixture
+                raise BadSpec(f"{args.spec}: {exc}") from None
             values = gen_gmm(spec, args.n, rng)
     with phases.measure("write"):
         write_points_csv(args.out, PointSet(values, default_columns(values.shape[1])))
@@ -273,6 +269,8 @@ def cmd_icv(args, phases):
     for i, (score, base) in enumerate(scores):
         table.append(f"{i:03d} {score!r} {base!r}")
     timing = ["[timing]", "time_fold_seconds: " + " ".join(f"{s:.6f}" for s in report.fold_seconds)]
+    for name, seconds in report.phase_seconds.items():
+        timing.append(f"time_fold_{name}: " + " ".join(f"{s:.6f}" for s in seconds))
     return [results, table, timing]
 
 

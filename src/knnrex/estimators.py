@@ -176,7 +176,7 @@ def synth_knn_rex(
         seeds = crng.integers(0, n, size=size)
         if m == 1:
             return X[seeds]
-        picks = _pick_neighbors(index.ids[seeds], m, crng)
+        picks = _pick_neighbors(index.ids, m, crng, rows=seeds)
         return rex_batch(X[np.column_stack((seeds, picks))], crng)
 
     return _chunked(l, d, rng, draw)
@@ -191,18 +191,25 @@ def _index(X, k, index):
     return index
 
 
-def _pick_neighbors(neighbors: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniform (m-1)-subset of each row of an (s, k) neighbor-id array."""
-    s, k = neighbors.shape
+def _pick_neighbors(neighbors: np.ndarray, m: int, rng: np.random.Generator, rows=None) -> np.ndarray:
+    """A uniform (m-1)-subset of each of the ``rows`` of an (n, k) neighbor-id
+    array (all of them by default), as an (s, m-1) array.
+
+    The picks are gathered from the flat ids, a view of an index's ids, so
+    the (s, k) rows are never copied.
+    """
+    k = neighbors.shape[1]
+    if rows is None:
+        rows = np.arange(neighbors.shape[0])
     if m - 1 == k:
-        return neighbors
+        return neighbors[rows]
     if m - 1 == 1:
-        cols = rng.integers(0, k, size=s)
-        return neighbors[np.arange(s), cols][:, np.newaxis]
+        cols = rng.integers(0, k, size=rows.size)
+        return neighbors[rows, cols][:, np.newaxis]
     # m-1 smallest of k i.i.d. uniform scores = a uniform subset.
-    scores = rng.random((s, k))
-    pos = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
-    return np.take_along_axis(neighbors, pos, axis=1)
+    scores = rng.random((rows.size, k))
+    cols = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
+    return neighbors.ravel()[rows[:, np.newaxis] * k + cols]
 
 
 def _gaussian(X, widths, l, rng):
@@ -443,7 +450,7 @@ def synth_bias_corrected(
                 seed_ids = pool[rng.integers(pool.size, size=size)]
                 Y = X[seed_ids]
                 if needs_kernel:
-                    seeds_w, neighbors = Xw[seed_ids], index.ids[seed_ids]
+                    seeds_w, neighbors, rows = Xw[seed_ids], index.ids, seed_ids
             else:
                 tally["uniform_seeds"] += size
                 Y = mins + spans * rng.random((size, d))
@@ -451,10 +458,11 @@ def synth_bias_corrected(
                 if needs_kernel:
                     seeds_w = whiten_apply(transform, Y)
                     neighbors, _ = query_neighbors(Xw, seeds_w, k)
+                    rows = None
             if needs_kernel:
                 kcs = np.empty((size, m, d))
                 kcs[:, 0] = seeds_w
-                kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng)]
+                kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng, rows)]
                 Y = whiten_invert(transform, rex_batch(kcs, rng))
             if round_integers:
                 Y = _round_half_away(Y)

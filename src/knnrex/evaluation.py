@@ -12,6 +12,7 @@ import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,13 +47,62 @@ class BinningSpec:
         return X
 
     def assign(self, X: np.ndarray) -> np.ndarray:
-        """Per-dimension bin indices, shape (n, d), clamped into range."""
+        """Per-dimension bin indices, shape (n, d), clamped into range.
+
+        A column's bins are ``searchsorted(edges, x, side="right") - 1``
+        clamped into [0, nb - 1], found by arithmetic where the edges allow
+        it (see ``_column_bins``).
+        """
         X = self.checked(X)
         out = np.empty(X.shape, dtype=np.int64)
-        for j, (edges, nb) in enumerate(zip(self.edges, self.bins_per_dim())):
-            idx = np.searchsorted(edges, X[:, j], side="right") - 1
-            out[:, j] = np.clip(idx, 0, nb - 1)
+        for j, edges in enumerate(self.edges):
+            out[:, j] = _column_bins(edges, X[:, j])
         return out
+
+
+def _searched_bins(edges, x):
+    """One column's bins by binary search: the edges at or below x, minus
+    one, clamped into [0, nb - 1]."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, max(edges.size - 2, 0))
+
+
+def _column_bins(edges, x):
+    """``_searched_bins(edges, x)``, by arithmetic on non-decreasing edges.
+
+    The guess is floor((x - lo) * nb / (hi - lo)) on x clamped into
+    [lo, hi], which keeps every operation finite and free of warnings. It
+    is moved by one comparison with each neighbouring edge, and bin b is
+    accepted when lower[b] <= x < upper[b]; lower is the edges with e[0]
+    replaced by -inf and upper the edges from e[1] with e[nb] replaced by
+    +inf. An accepted b is exact: on non-decreasing edges exactly b of the
+    inner edges e[1..nb-1] are <= x, and that count is the clamped
+    searchsorted answer. Rows that fail (NaN and +inf among them) are
+    searched, and so is every row when the edges are not non-decreasing or
+    their range or scale overflows.
+
+    The one-bin move suffices on ``make_binning``'s edges: linspace forms
+    e[i] as lo + i * step, and the guess and each edge are then within a
+    few ulps of max(|lo|, |hi|) of their exact values, so the guess is off
+    by at most one bin unless a bin is only a few ulps wide. Correctness
+    rests on the acceptance test alone, not on this bound.
+    """
+    nb = edges.size - 1
+    if nb <= 1:
+        return np.zeros(x.shape, dtype=np.int64)
+    lo, hi = float(edges[0]), float(edges[-1])
+    scale = nb / (hi - lo) if hi > lo else math.inf
+    if not (math.isfinite(hi - lo) and math.isfinite(scale) and (edges[:-1] <= edges[1:]).all()):
+        return _searched_bins(edges, x)
+    lower = np.concatenate(([-np.inf], edges[1:-1]))
+    upper = np.concatenate((edges[1:-1], [np.inf]))
+    clamped = np.clip(x, lo, hi)
+    bins = np.fmin(np.floor((clamped - lo) * scale), nb - 1).astype(np.int64)  # fmin maps NaN to nb - 1
+    bins -= clamped < lower[bins]
+    bins += clamped >= upper[bins]
+    bad = np.flatnonzero(~((lower[bins] <= x) & (x < upper[bins])))
+    if bad.size:
+        bins[bad] = _searched_bins(edges, x[bad])
+    return bins
 
 
 def make_binning(data: np.ndarray, bins_per_dim: int) -> BinningSpec:
@@ -78,11 +128,20 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
     """Hellinger distance between the binned histograms of Y and Z, in [0, 1].
 
     Summation runs over the union of occupied bins; bins empty in both sets
-    contribute nothing. Where the joint bins number at most 2**62, each
-    point's bin-index tuple is keyed as one int64 by its C-order strides;
-    past that, the tuples themselves are compared by a row-wise unique. Both
-    keys order the occupied bins lexicographically by tuple, so both give
-    the same counts in the same summation order, bit for bit.
+    contribute nothing. Points are binned by ``BinningSpec.assign``. The
+    occupied bins are found in one of three ways:
+
+    - at most as many joint bins as points: each point's bin-index tuple is
+      keyed as one int64 by its C-order strides, and the keys are counted
+      over the whole span with ``np.bincount``; ``np.flatnonzero`` gives the
+      occupied keys in ascending order;
+    - more joint bins than points, up to 2**62: the same keys go through
+      ``np.unique``;
+    - past 2**62 joint bins: the tuples themselves go through a row-wise
+      unique.
+
+    All three order the occupied bins lexicographically by tuple, so all
+    give the same counts in the same summation order, bit for bit.
     """
     Y = np.asarray(Y, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
@@ -90,18 +149,31 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
         raise EmptyData("hellinger requires two non-empty point sets")
     both = binning.assign(np.concatenate([binning.checked(Y), binning.checked(Z)]))
     bins = binning.bins_per_dim()
-    if math.prod(bins) <= 2**62:
-        strides = np.cumprod((bins + (1,))[:0:-1], dtype=np.int64)[::-1]  # prod(bins[j + 1 :])
-        _, inverse = np.unique(both @ strides, return_inverse=True)
+    span = math.prod(bins)
+    n_y = Y.shape[0]
+    if span <= both.shape[0]:
+        keys = both @ _strides(bins)
+        cy = np.bincount(keys[:n_y], minlength=span)
+        cz = np.bincount(keys[n_y:], minlength=span)
+        occupied = np.flatnonzero(cy + cz)
+        cy, cz = cy[occupied], cz[occupied]
     else:
-        _, inverse = np.unique(both, axis=0, return_inverse=True)
-        inverse = inverse.ravel()  # its shape differs across numpy 2.0.x releases
-    n_bins = int(inverse.max()) + 1
-    cy = np.bincount(inverse[: Y.shape[0]], minlength=n_bins)
-    cz = np.bincount(inverse[Y.shape[0] :], minlength=n_bins)
+        if span <= 2**62:
+            _, inverse = np.unique(both @ _strides(bins), return_inverse=True)
+        else:
+            _, inverse = np.unique(both, axis=0, return_inverse=True)
+            inverse = inverse.ravel()  # its shape differs across numpy 2.0.x releases
+        n_bins = int(inverse.max()) + 1
+        cy = np.bincount(inverse[:n_y], minlength=n_bins)
+        cz = np.bincount(inverse[n_y:], minlength=n_bins)
     py = np.sqrt(cy / Y.shape[0])
     pz = np.sqrt(cz / Z.shape[0])
     return min(1.0, float(np.sqrt(0.5 * np.sum((py - pz) ** 2))))  # rounding can pass 1
+
+
+def _strides(bins):
+    """The int64 C-order strides of a joint bin: prod(bins[j + 1 :]) for each j."""
+    return np.cumprod((bins + (1,))[:0:-1], dtype=np.int64)[::-1]
 
 
 def union_hellinger(Y: np.ndarray, Z: np.ndarray, bins_per_dim: int) -> float:
@@ -212,6 +284,7 @@ class IcvReport:
     fold_hellinger: np.ndarray
     baseline_hellinger: np.ndarray
     fold_seconds: np.ndarray
+    phase_seconds: dict  # name of a FOLD_PHASES phase -> its seconds in each fold
     mean: float = field(init=False)
     std: float = field(init=False)
     baseline_mean: float = field(init=False)
@@ -222,6 +295,21 @@ class IcvReport:
         self.std = float(np.std(self.fold_hellinger, ddof=1))
         self.baseline_mean = float(np.mean(self.baseline_hellinger))
         self.baseline_std = float(np.std(self.baseline_hellinger, ddof=1))
+
+
+# The phases of one fold: the three of ``synthesize``, the fold's score and
+# its copying baseline (0 for a fold whose baseline an earlier config scored).
+FOLD_PHASES = ("whiten", "index", "synthesis", "score", "baseline")
+
+
+@contextmanager
+def timed(seconds: dict, name: str):
+    """Add the block's wall-clock seconds to ``seconds[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
 
 
 def icv_run(
@@ -269,14 +357,22 @@ def icv_sweep(
     population_size = (folds - 1) * fold_size
 
     def run_fold(cfg, shuffled, streams, known_bases, i):
+        # Folds may run on threads, so each one keeps its own phase seconds.
         t0 = time.perf_counter()
+        seconds = dict.fromkeys(FOLD_PHASES, 0.0)
+        measure = functools.partial(timed, seconds)
         lo, hi = i * fold_size, (i + 1) * fold_size
         train = shuffled[lo:hi]
         test = np.concatenate([shuffled[:lo], shuffled[hi:]], axis=0)
-        synth = synthesize(cfg, train, population_size, streams[i])
-        fold_score = union_hellinger(synth, test, bins_per_dim)
-        base = union_hellinger(train, test, bins_per_dim) if known_bases is None else known_bases[i]
-        return fold_score, base, time.perf_counter() - t0
+        synth = synthesize(cfg, train, population_size, streams[i], measure=measure)
+        with measure("score"):
+            fold_score = union_hellinger(synth, test, bins_per_dim)
+        if known_bases is None:
+            with measure("baseline"):
+                base = union_hellinger(train, test, bins_per_dim)
+        else:
+            base = known_bases[i]
+        return fold_score, base, time.perf_counter() - t0, seconds
 
     reports = []
     baselines = {}  # seed -> the copying baseline of each fold
@@ -290,7 +386,8 @@ def icv_sweep(
         else:
             results = [fold(i) for i in range(folds)]
 
-        scores, bases, seconds = (np.asarray(col) for col in zip(*results))
+        scores, bases, seconds, phases = zip(*results)
+        scores, bases = np.asarray(scores), np.asarray(bases)
         baselines[cfg.seed] = bases
         reports.append(
             IcvReport(
@@ -302,7 +399,8 @@ def icv_sweep(
                 population_size=population_size,
                 fold_hellinger=scores,
                 baseline_hellinger=bases,
-                fold_seconds=seconds,
+                fold_seconds=np.asarray(seconds),
+                phase_seconds={name: np.array([fold[name] for fold in phases]) for name in FOLD_PHASES},
             )
         )
     return reports

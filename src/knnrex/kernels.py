@@ -7,12 +7,22 @@ density path (needed only for the likelihood-optimized baseline and for
 tests) forms the Gaussian MLE of the KCS explicitly.
 
 Every synthesizer draws through ``rex_batch``, one draw from each KCS of an
-(s, m, d) stack by an ``einsum``. ``rex_samples`` draws many points from one
-KCS by the matrix product ``eps @ (kcs - mu)``; it stays apart because one
-formula for both would change output bits: given the same normals, the two
-differed in at least one bit on 17,647 of 20,000 random KCSs (m < 40,
-d < 12). ``rex_sample``, its one-point case, is no longer called by any
-synthesizer and stays as a public name that the benchmark's tracer wraps.
+(s, m, d) stack. For d >= 2 it forms the mean as the left fold
+``(kcs[:, 0] + kcs[:, 1] + ...) / m`` and the weighted deviations as the
+left fold ``0 + eps_0 (x_0 - mu) + eps_1 (x_1 - mu) + ...`` over strided
+(s, d) slices, which is faster than ``mean(axis=1)`` and an ``einsum`` and
+gives the same bits: numpy reduces a non-contiguous m axis in that order.
+The sum starts at +0.0, as the ``einsum`` does; starting at the first term
+would turn a +0.0 output into -0.0 where every term is -0.0 (zero
+deviations of integer-valued data times negative weights). At d = 1 the m
+axis is contiguous, and numpy sums it pairwise and unrolled: a fold would
+differ from the ``einsum`` from m >= 3 and from ``mean`` from m >= 8, so d =
+1 keeps the two. ``rex_samples`` draws many points from one KCS by the
+matrix product ``eps @ (kcs - mu)``; it stays apart because one formula for
+both would change output bits: given the same normals, the two differed in
+at least one bit on 17,647 of 20,000 random KCSs (m < 40, d < 12).
+``rex_sample``, its one-point case, is no longer called by any synthesizer
+and stays as a public name that the benchmark's tracer wraps.
 """
 
 import math
@@ -61,10 +71,22 @@ def rex_samples(kcs: np.ndarray, n_points: int, rng: np.random.Generator) -> np.
 
 def rex_batch(kcs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One REX draw from each KCS of an (s, m, d) stack, as an (s, d) array."""
-    s, m, _ = kcs.shape
-    mu = kcs.mean(axis=1)
+    s, m, d = kcs.shape
     eps = rng.standard_normal((s, m)) * math.sqrt(1.0 / m)
-    return mu + np.einsum("sm,smd->sd", eps, kcs - mu[:, np.newaxis, :])
+    if d == 1:  # a contiguous m axis is summed pairwise, not folded (module docstring)
+        mu = kcs.mean(axis=1)
+        return mu + np.einsum("sm,smd->sd", eps, kcs - mu[:, np.newaxis, :])
+    mu = kcs[:, 0].copy()
+    for j in range(1, m):
+        mu += kcs[:, j]
+    mu /= m
+    acc = np.zeros((s, d))  # +0.0, as the einsum starts
+    dev = np.empty((s, d))
+    for j in range(m):
+        np.subtract(kcs[:, j], mu, out=dev)
+        dev *= eps[:, j, np.newaxis]
+        acc += dev
+    return mu + acc
 
 
 def rex_log_density(y: np.ndarray, kcs: np.ndarray, ridge: float = 0.0) -> np.ndarray:

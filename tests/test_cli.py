@@ -92,6 +92,21 @@ def test_icv_identical_reruns(tmp_path):
     assert strip_timings((tmp_path / "icv.txt").read_text()) == first
 
 
+def test_icv_times_each_phase_of_each_fold(tmp_path):
+    case = CASES["icv"]
+    command = [*case["command"][:2], "knn-rex", "--k", "4", "--m", "3", *case["command"][5:]]
+    run_case({**case, "command": command}, tmp_path)
+    text = (tmp_path / "icv.txt").read_text()
+    timing = text.split("[timing]\n")[1].split("[manifest]\n")[0].splitlines()
+    rows = dict(line.split(": ", 1) for line in timing)
+    assert list(rows) == ["time_fold_seconds", *(f"time_fold_{p}" for p in knnrex.evaluation.FOLD_PHASES)]
+    seconds = {key: np.array(value.split(), dtype=float) for key, value in rows.items()}
+    assert all(values.shape == (4,) and (values >= 0).all() for values in seconds.values())
+    assert (seconds["time_fold_synthesis"] > 0).all()
+    phases = sum(values for key, values in seconds.items() if key != "time_fold_seconds")
+    assert (phases <= seconds["time_fold_seconds"] + 5e-6 * len(knnrex.evaluation.FOLD_PHASES)).all()
+
+
 def test_evaluate_identical_inputs_zero(tmp_path, capsys):
     assert run_cli(["gen-data", "--dataset", "ring", "--n", "30", "--seed", "1",
                     "--out", str(tmp_path / "p.csv")]) == 0
@@ -405,12 +420,15 @@ def test_malformed_gmm_spec_exit_1(tmp_path, capsys):
         b'{"weights": [NaN], "means": [[0.0]], "covs": [[[1.0]]]}',
         b'{"weights": [1.0], "means": [[1e999]], "covs": [[[1.0]]]}',  # infinite once parsed
         b'{"weights": [1.0], "means": [[0.0]], "covs": [[[1.0]]], "name": "\xff"}',  # not UTF-8
+        b'{"weights": [0.5, 0.6], "means": [[0.0], [1.0]], "covs": [[[1.0]], [[1.0]]]}',  # sum 1.1
+        b'{"weights": [1.0], "means": [[0.0, 0.0]], "covs": [[[1.0, 0.5], [0.0, 1.0]]]}',  # asymmetric
+        b'{"weights": [1.0], "means": [[0.0, 0.0]], "covs": [[[1.0, 2.0], [2.0, 1.0]]]}',  # not PD
     ):
         spec.write_bytes(text)
         code = run_cli(["gen-data", "--dataset", "gmm", "--n", "10", "--seed", "0",
                         "--spec", str(spec), "--out", str(tmp_path / "out.csv")])
         assert code == 1
-        assert "BadSpec" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: BadSpec: {spec}: ")
 
 
 def test_version():

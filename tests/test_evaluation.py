@@ -57,6 +57,16 @@ def row_unique_hellinger(Y, Z, binning):
     return min(1.0, float(np.sqrt(0.5 * np.sum((py - pz) ** 2))))
 
 
+def searchsorted_assign(binning, X):
+    """Oracle: the former ``BinningSpec.assign``, one searchsorted per dimension."""
+    X = np.asarray(X, dtype=np.float64)
+    out = np.empty(X.shape, dtype=np.int64)
+    for j, (edges, nb) in enumerate(zip(binning.edges, binning.bins_per_dim())):
+        idx = np.searchsorted(edges, X[:, j], side="right") - 1
+        out[:, j] = np.clip(idx, 0, nb - 1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Binning
 # ---------------------------------------------------------------------------
@@ -88,6 +98,88 @@ def test_binning_boundaries_and_clamping():
     spec = make_binning(np.array([[0.0], [10.0]]), 5)
     idx = spec.assign(np.array([[0.0], [10.0], [-3.0], [13.0], [2.0], [1.9999]]))
     assert list(idx[:, 0]) == [0, 4, 0, 4, 1, 0]
+
+
+TINY = 5e-324  # the smallest subnormal
+
+
+@st.composite
+def _column_range(draw):
+    """(lo, hi) of one column: ordinary, constant, subnormal, near overflow,
+    or only a few ulps wide, so that edges repeat."""
+    kind = draw(st.sampled_from(["plain", "constant", "subnormal", "huge", "ulps"]))
+    if kind == "plain":
+        lo = draw(st.floats(-1e6, 1e6))
+        return lo, lo + draw(st.floats(1e-9, 1e6))
+    if kind == "constant":
+        lo = draw(st.floats(-1e6, 1e6))
+        return lo, lo
+    if kind == "subnormal":  # the scale nb / (hi - lo) may overflow
+        lo = draw(st.integers(-40, 40)) * TINY
+        return lo, lo + draw(st.integers(1, 2**60)) * TINY
+    if kind == "huge":  # the widest range make_binning accepts
+        return -8.9e307, draw(st.floats(1e307, 8.9e307))
+    lo = draw(st.sampled_from([1.0, -1.0])) * 2.0**53
+    return lo, lo + 2.0 * draw(st.integers(1, 12))
+
+
+def _values_around(edges, rng, n):
+    """Each edge and one ulp either side of it, points inside and out of
+    range, +-inf and NaN, shuffled into a column of n values."""
+    lo, hi = edges[0], edges[-1]
+    r = rng.random(8)
+    inside = lo * (1.0 - r) + hi * r  # hi - lo may overflow
+    special = [-np.inf, np.inf, np.nan, -1.7e308, 1.7e308, 0.0, -0.0, TINY, -TINY]
+    values = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             inside, special, [lo - 1.0, hi + 1.0]])
+    return rng.permutation(np.resize(values, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_column_range(), min_size=1, max_size=4), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+def test_assign_matches_searchsorted_on_linspace_edges(ranges, bins, seed):
+    rng = np.random.default_rng(seed)
+    spec = make_binning(np.array(ranges).T, bins)
+    n = 3 * (bins + 1) + 30
+    X = np.column_stack([_values_around(e, rng, n) for e in spec.edges])
+    assert np.array_equal(spec.assign(X), searchsorted_assign(spec, X))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_assign_matches_searchsorted_on_hand_built_edges(nb, seed, coarse):
+    """Non-uniform edges, rounded so that some repeat, and edges no search
+    could order: all go through searchsorted where arithmetic misplaces."""
+    rng = np.random.default_rng(seed)
+    sorted_edges = np.sort(rng.normal(scale=3.0, size=nb + 1))
+    if coarse:
+        sorted_edges = np.round(sorted_edges)
+    spec = knnrex.evaluation.BinningSpec(edges=(
+        sorted_edges,
+        rng.normal(size=nb + 1),  # unsorted
+        np.concatenate([sorted_edges[:-1], [np.nan]]),
+        np.array([-np.inf, *sorted_edges[1:-1], np.inf]) if nb > 1 else sorted_edges,
+    ))
+    X = np.column_stack([_values_around(e if np.isfinite(e).all() else sorted_edges, rng, 80)
+                         for e in spec.edges])
+    assert np.array_equal(spec.assign(X), searchsorted_assign(spec, X))
+
+
+def test_assign_searches_only_the_rows_arithmetic_cannot_place(monkeypatch):
+    searched = []
+    search = knnrex.evaluation._searched_bins
+    monkeypatch.setattr(knnrex.evaluation, "_searched_bins",
+                        lambda edges, x: searched.append(x.size) or search(edges, x))
+    data = np.random.default_rng(3).normal(size=(20_000, 3))
+    spec = make_binning(data, 10)
+    edges = np.column_stack(spec.edges)
+    near = [np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]
+    X = np.concatenate([data, *near, [[np.nan, np.inf, 0.0]]])
+    assert np.array_equal(spec.assign(X), searchsorted_assign(spec, X))
+    # Only the NaN and the +inf row. Points on an edge or one ulp from it,
+    # where the floor can be one bin off, are moved by the edge comparisons.
+    assert searched == [1, 1]
 
 
 def test_make_binning_errors():
@@ -232,6 +324,22 @@ def test_hellinger_bit_identical_at_the_key_limit(d, bins, keyed):
     assert hellinger(Y, Z, spec) == row_unique_hellinger(Y, Z, spec)
 
 
+@pytest.mark.parametrize("n_z, counted", [(60, True), (59, False)])
+def test_hellinger_counts_bins_up_to_one_per_point(monkeypatch, n_z, counted):
+    """100 joint bins: counted with bincount for 40 + 60 points, and by
+    np.unique for 40 + 59; both match the row-wise unique bit for bit."""
+    rng = np.random.default_rng(n_z)
+    spec = make_binning(np.array([[0.0, 0.0], [1.0, 1.0]]), 10)
+    Y = rng.uniform(-0.1, 1.1, size=(40, 2))
+    Z = np.concatenate([Y[:20], np.round(rng.uniform(0.0, 1.0, size=(n_z - 20, 2)), 1)])
+    expected = row_unique_hellinger(Y, Z, spec)
+    uniques = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **kw: uniques.append(1) or unique(*a, **kw))
+    assert hellinger(Y, Z, spec) == expected
+    assert uniques == ([] if counted else [1])
+
+
 def test_hellinger_empty_errors():
     spec = make_binning(np.array([[0.0], [1.0]]), 2)
     with pytest.raises(EmptyData):
@@ -372,6 +480,23 @@ def test_icv_sweep_matches_separate_runs(threads):
         assert np.array_equal(report.fold_hellinger, alone.fold_hellinger)
         assert np.array_equal(report.baseline_hellinger, alone.baseline_hellinger)
     assert not np.array_equal(swept[0].baseline_hellinger, swept[1].baseline_hellinger)
+
+
+def test_icv_times_the_phases_of_each_fold():
+    data = gen_ring(150, np.random.default_rng(12))
+    cfgs = [
+        EstimatorConfig(method="knn_rex", k=6, m=3, seed=4),
+        EstimatorConfig(method="fixed_gaussian", h=0.2, seed=4),  # reuses the baselines
+    ]
+    rex, fixed = icv_sweep(data, cfgs, folds=5, bins_per_dim=4, threads=2)
+    for report in (rex, fixed):
+        assert list(report.phase_seconds) == list(knnrex.evaluation.FOLD_PHASES)
+        phases = np.array(list(report.phase_seconds.values()))
+        assert phases.shape == (5, 5) and (phases >= 0).all()
+        assert (phases.sum(axis=0) <= report.fold_seconds).all()
+    assert (rex.phase_seconds["index"] > 0).all() and (rex.phase_seconds["baseline"] > 0).all()
+    assert (fixed.phase_seconds["index"] == 0).all() and (fixed.phase_seconds["baseline"] == 0).all()
+    assert (fixed.phase_seconds["synthesis"] > 0).all() and (fixed.phase_seconds["score"] > 0).all()
 
 
 def test_icv_methods_run():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnrex import (
     EmptyKcs,
@@ -12,6 +14,7 @@ from knnrex import (
     rex_sample,
     rex_samples,
 )
+from knnrex.kernels import rex_batch
 
 CROSS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
@@ -127,3 +130,37 @@ def test_rex_density_normalizes_2d():
     vals = rex_density(pts, kcs).reshape(gx.shape)
     total = np.trapezoid(np.trapezoid(vals, axes[1], axis=1), axes[0])
     assert abs(total - 1.0) < 1e-3
+
+
+def einsum_rex_batch(kcs, rng):
+    """Oracle: the former ``rex_batch``, a mean over m and one einsum."""
+    s, m, _ = kcs.shape
+    mu = kcs.mean(axis=1)
+    eps = rng.standard_normal((s, m)) * math.sqrt(1.0 / m)
+    return mu + np.einsum("sm,smd->sd", eps, kcs - mu[:, np.newaxis, :])
+
+
+def kcs_stack(rng, s, m, d, integer):
+    """An (s, m, d) stack at a random scale; integer-valued stacks hold many
+    zero deviations, whose products with negative weights are -0.0."""
+    kcs = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(s, m, d))
+    return np.round(kcs) if integer else kcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 8192), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_rex_batch_matches_einsum_oracle(d, m, s, integer, seed):
+    kcs = kcs_stack(np.random.default_rng(seed), s, m, d, integer)
+    got = rex_batch(kcs, np.random.default_rng(seed + 1))
+    assert got.tobytes() == einsum_rex_batch(kcs, np.random.default_rng(seed + 1)).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 40])
+def test_rex_batch_matches_einsum_oracle_on_full_chunks(d, m):
+    rng = np.random.default_rng(100 * d + m)
+    for integer in (False, True):
+        kcs = kcs_stack(rng, 8192, m, d, integer)
+        got = rex_batch(kcs, np.random.default_rng(m))
+        assert got.tobytes() == einsum_rex_batch(kcs, np.random.default_rng(m)).tobytes()

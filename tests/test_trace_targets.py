@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import knnrex.evaluation as evaluation
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -24,3 +28,24 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), f"{module_name}.{attr} is traced but does not exist"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr} is not callable"
+
+
+def test_union_hellinger_bins_through_the_traced_names(monkeypatch):
+    """The tracer times binning as make_binning plus BinningSpec.assign, and
+    wraps them by module and class attribute. One union_hellinger must call
+    each once through those attributes, or binning time would be counted
+    as hellinger time."""
+    calls = []
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(evaluation, "make_binning", counting("make_binning", evaluation.make_binning))
+    monkeypatch.setattr(evaluation.BinningSpec, "assign", counting("assign", evaluation.BinningSpec.assign))
+    rng = np.random.default_rng(0)
+    evaluation.union_hellinger(rng.normal(size=(50, 3)), rng.normal(size=(70, 3)), 10)
+    assert calls == ["make_binning", "assign"]
