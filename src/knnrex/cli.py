@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import sys
-import time
 from dataclasses import fields
 
 import numpy as np
@@ -22,8 +21,8 @@ from .asymptotics import asymptotics_report, linear_model, uniform_model
 from .datagen import GmmSpec, gen_gmm, gen_ring, gen_swiss_roll
 from .dataio import PointSet, default_columns, read_marginals_csv, read_points_csv, write_points_csv
 from .errors import BadParams, BadSpec, KnnRexError, StallLimit
-from .estimators import CORRECTED_COUNTERS, EstimatorConfig, synth_bias_corrected, synthesize
-from .evaluation import icv_run, icv_sweep, timed, union_hellinger
+from .estimators import EstimatorConfig, synth_bias_corrected, synthesize
+from .evaluation import Phases, icv_run, icv_sweep, union_hellinger
 
 METHOD_FLAGS = {
     "knn-rex": "knn_rex",
@@ -48,23 +47,8 @@ GRID_FLAGS = [name for name in PARAMS if any(name in names for names in SWEPT.va
 # validate-asymptotics --density linear without --slope.
 DEFAULT_SLOPE = 5.0
 
-
-class _Phases:
-    """Wall-clock bookkeeping; phase names appear as time_<name> keys, and
-    phases never nest (the library times whiten, index and synthesis). A
-    command may also record deterministic counts, shown as count_<name>."""
-
-    def __init__(self):
-        self.seconds = {}
-        self.counts = {}
-        self._t0 = time.perf_counter()
-
-    def measure(self, name):
-        """Add the block's wall-clock seconds to phase ``name``."""
-        return timed(self.seconds, name)
-
-    def total(self):
-        return time.perf_counter() - self._t0
+# The largest size or count a flag takes: numpy indexes with int64.
+MAX_SIZE = 2**63 - 1
 
 
 def _manifest_lines(args, phases, diagnostics=()):
@@ -106,8 +90,9 @@ def _write_output(args, phases, sections, diagnostics=()):
             handle.write(text)
 
 
-def _int_at_least(lo):
-    """argparse type: an int no smaller than ``lo``."""
+def _int_at_least(lo, hi=MAX_SIZE):
+    """argparse type: an int no smaller than ``lo`` and, unless ``hi`` is
+    None, no larger than ``hi``."""
 
     def parse(text):
         try:
@@ -116,6 +101,8 @@ def _int_at_least(lo):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
 
     return parse
@@ -186,7 +173,7 @@ def cmd_synthesize(args, phases):
 
 
 def cmd_synthesize_corrected(args, phases):
-    EstimatorConfig("knn_rex", k=args.k, m=args.m).validate()  # before any input is read
+    EstimatorConfig("knn_rex", k=args.k, m=args.m, seed=args.seed).validate()  # before any input is read
     rng = np.random.default_rng(args.seed)
     with phases.measure("read"):
         train = read_points_csv(getattr(args, "in"))
@@ -206,22 +193,17 @@ def cmd_synthesize_corrected(args, phases):
         write_points_csv(args.out, PointSet(synth, train.columns))
 
 
-def explain_corrected_failure(args, phases, exc):
-    """After a stall, print what the loop did and what is still missing, and
-    keep the same lines in the sidecar with the flags and the timings."""
-    if not isinstance(exc, StallLimit):
-        return
-    counts = [f"count_{name}: {exc.diagnostics[name]}" for name in CORRECTED_COUNTERS]
+def explain_stall(args, phases, exc):
+    """After a StallLimit, print the counts the loop recorded and what is
+    still missing, and keep the same lines in the sidecar with the flags and
+    the timings."""
+    counts = [f"count_{name}: {count}" for name, count in phases.counts.items()]
     deficits = [f"deficit_{name}: {d}" for name, d in exc.diagnostics["deficits"].items()]
     print("\n".join(counts + deficits), file=sys.stderr)
     try:  # the sidecar's manifest holds the counts already
         _write_output(args, phases, None, deficits)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-
-
-# Per command, what to print after main's error line of a failed run.
-EXPLAIN_FAILURE = {cmd_synthesize_corrected: explain_corrected_failure}
 
 
 def cmd_evaluate(args, phases):
@@ -369,8 +351,8 @@ def build_parser():
 
     gen = subs.add_parser("gen-data", help="generate a benchmark dataset CSV")
     gen.add_argument("--dataset", required=True, choices=["swissroll", "ring", "gmm"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n", type=_int_at_least(1), required=True)
+    gen.add_argument("--seed", type=_int_at_least(0, hi=None), default=0)
     gen.add_argument("--spec", help="JSON file with weights/means/covs (gmm only)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_data)
@@ -419,8 +401,8 @@ def build_parser():
     va.add_argument("--dim", type=_int_at_least(1), default=2)
     va.add_argument("--slope", type=float, help=f"linear only; default {DEFAULT_SLOPE}")
     va.add_argument("--deltas", type=_comma_list(float), default=[0.2, 0.1])
-    va.add_argument("--samples", type=int, default=100_000)
-    va.add_argument("--seed", type=int, default=0)
+    va.add_argument("--samples", type=_int_at_least(1), default=100_000)
+    va.add_argument("--seed", type=_int_at_least(0, hi=None), default=0)
     va.add_argument("--out")
     va.set_defaults(func=cmd_validate_asymptotics)
 
@@ -429,13 +411,13 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    phases = _Phases()
+    phases = Phases()
     try:
         _write_output(args, phases, args.func(args, phases))
     except KnnRexError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if args.func in EXPLAIN_FAILURE:  # the command's own account of its failure
-            EXPLAIN_FAILURE[args.func](args, phases, exc)
+        if isinstance(exc, StallLimit):
+            explain_stall(args, phases, exc)
         return 1
     except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,6 +90,8 @@ class EstimatorConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise BadParams(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.seed < 0:
+            raise BadParams(f"seed must be >= 0, got {self.seed}")
         if self.method == "knn_rex":
             if self.k == 0 and self.m != 1:
                 raise BadParams("k = 0 admits only m = 1 (pure bootstrap)")
@@ -141,9 +143,18 @@ def synthesize(
         return whiten_invert(transform, Y_w)
 
 
+def _empty_points(l: int, d: int) -> np.ndarray:
+    """An uninitialised (l, d) float64 array. A size past what numpy can
+    address raises MemoryError, as one it cannot allocate does, rather than
+    numpy's ValueError."""
+    if l * max(d, 1) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate an array with shape ({l}, {d}) and data type float64")
+    return np.empty((l, d))
+
+
 def _chunked(l: int, d: int, rng: np.random.Generator, draw) -> np.ndarray:
     """Fill an (l, d) output chunk by chunk with ``draw(size, chunk_rng)``."""
-    out = np.empty((l, d))
+    out = _empty_points(l, d)
     starts = range(0, l, DEFAULT_CHUNK)
     for start, crng in zip(starts, rng.spawn(len(starts))):
         stop = min(start + DEFAULT_CHUNK, l)
@@ -252,9 +263,8 @@ def synth_bmp(
 
 
 def suggest_params(d_intrinsic: int, n: int | None = None) -> tuple[int, int]:
-    """Optimization-free (k, m) rule: m = d'+1, k = 30 (clamped to [10, 50]).
-
-    When the training size n is supplied, k is further clamped to n-1.
+    """Optimization-free (k, m) rule: m = d'+1 and k = 30, inside the
+    recommended range [10, 50]; given the training size n, k = min(30, n-1).
     """
     if d_intrinsic < 1:
         raise BadParams(f"intrinsic dimension must be >= 1, got {d_intrinsic}")
@@ -286,7 +296,10 @@ class MarginalSpec:
     def __post_init__(self):
         self.names = tuple(self.names)
         self.edges = tuple(np.asarray(e, dtype=np.float64) for e in self.edges)
-        self.freqs = tuple(np.asarray(f, dtype=np.int64) for f in self.freqs)
+        try:
+            self.freqs = tuple(np.asarray(f, dtype=np.int64) for f in self.freqs)
+        except OverflowError:
+            raise BadSpec(f"bin frequencies must fit in int64 (at most {2**63 - 1})") from None
         self.validate()
 
     def validate(self) -> None:
@@ -299,17 +312,18 @@ class MarginalSpec:
         for name, edges, freqs in zip(self.names, self.edges, self.freqs):
             if edges.ndim != 1 or edges.size < 2:
                 raise BadSpec(f"variable {name!r}: need at least one bin")
-            if not np.all(np.diff(edges) > 0):
-                raise BadSpec(f"variable {name!r}: bin edges must be strictly increasing")
             if not np.isfinite(edges).all():
                 raise BadSpec(f"variable {name!r}: bin edges must be finite, got {edges.tolist()}")
+            if not np.all(np.diff(edges) > 0):
+                raise BadSpec(f"variable {name!r}: bin edges must be strictly increasing")
             if freqs.size != edges.size - 1:
                 raise BadSpec(f"variable {name!r}: {freqs.size} frequencies for {edges.size - 1} bins")
             if np.any(freqs < 0):
                 raise BadSpec(f"variable {name!r}: negative bin frequency")
-            if int(freqs.sum()) != self.total:
+            freq_sum = sum(freqs.tolist())  # exact: an int64 sum can wrap around
+            if freq_sum != self.total:
                 raise InconsistentMarginals(
-                    f"variable {name!r}: frequencies sum to {int(freqs.sum())}, "
+                    f"variable {name!r}: frequencies sum to {freq_sum}, "
                     f"declared total is {self.total}"
                 )
 
@@ -335,17 +349,18 @@ def check_corrected(X, marginals: MarginalSpec, k: int, m: int, columns=None):
 
     Returns the sample as a float array, the data column of each marginal
     variable and, per variable, the bin of every sample row. Raises BadParams
-    for (k, m), BadSpec for a marginal variable missing from ``columns`` and
-    InconsistentMarginals for a sample value outside its variable's bins.
+    for (k, m), BadSpec for a marginal variable missing from ``columns`` or
+    naming more than one of them, and InconsistentMarginals for a sample
+    value outside its variable's bins.
     """
     X = _sample(X)
     EstimatorConfig("knn_rex", k=k, m=m).validate()
-    if columns is None:
-        columns = default_columns(X.shape[1])
-    try:
-        var_cols = [list(columns).index(name) for name in marginals.names]
-    except ValueError as exc:
-        raise BadSpec(f"marginal variable not found among columns {list(columns)}: {exc}") from None
+    columns = list(default_columns(X.shape[1]) if columns is None else columns)
+    for name in marginals.names:
+        if columns.count(name) != 1:
+            raise BadSpec(f"marginal variable {name!r} must name one column; it names "
+                          f"{columns.count(name)} of {columns}")
+    var_cols = [columns.index(name) for name in marginals.names]
 
     sample_bins = [marginals.bin_of(v, X[:, col]) for v, col in enumerate(var_cols)]
     for v, bins in enumerate(sample_bins):
@@ -486,7 +501,7 @@ def synth_bias_corrected(
         # 0 .. placed-1 are all live, so the next new key is ``placed``; there
         # are at most l keys however long the loop runs, and the output is the
         # live keys in key order.
-        points = np.empty((l, d))
+        points = _empty_points(l, d)
         point_ids, slots, free = [None] * l, [None] * l, []
         placed = 0
         stall = 0

@@ -302,14 +302,29 @@ class IcvReport:
 FOLD_PHASES = ("whiten", "index", "synthesis", "score", "baseline")
 
 
-@contextmanager
-def timed(seconds: dict, name: str):
-    """Add the block's wall-clock seconds to ``seconds[name]``."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+class Phases:
+    """One run's wall-clock phases and deterministic counts: ``seconds`` maps
+    a phase to its seconds, each of ``names`` from 0.0, and ``counts`` keeps
+    the order recorded. Phases never nest (the library times whiten, index
+    and synthesis), so they sum to at most ``total()``."""
+
+    def __init__(self, names=()):
+        self.seconds = dict.fromkeys(names, 0.0)
+        self.counts = {}
+        self._t0 = time.perf_counter()
+
+    @contextmanager
+    def measure(self, name):
+        """Add the block's wall-clock seconds to phase ``name``."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+
+    def total(self):
+        """Seconds since the recorder was made."""
+        return time.perf_counter() - self._t0
 
 
 def icv_run(
@@ -357,26 +372,25 @@ def icv_sweep(
     population_size = (folds - 1) * fold_size
 
     def run_fold(cfg, shuffled, streams, known_bases, i):
-        # Folds may run on threads, so each one keeps its own phase seconds.
-        t0 = time.perf_counter()
-        seconds = dict.fromkeys(FOLD_PHASES, 0.0)
-        measure = functools.partial(timed, seconds)
+        # Folds may run on threads, so each one keeps its own recorder.
+        phases = Phases(FOLD_PHASES)
         lo, hi = i * fold_size, (i + 1) * fold_size
         train = shuffled[lo:hi]
         test = np.concatenate([shuffled[:lo], shuffled[hi:]], axis=0)
-        synth = synthesize(cfg, train, population_size, streams[i], measure=measure)
-        with measure("score"):
+        synth = synthesize(cfg, train, population_size, streams[i], measure=phases.measure)
+        with phases.measure("score"):
             fold_score = union_hellinger(synth, test, bins_per_dim)
         if known_bases is None:
-            with measure("baseline"):
+            with phases.measure("baseline"):
                 base = union_hellinger(train, test, bins_per_dim)
         else:
             base = known_bases[i]
-        return fold_score, base, time.perf_counter() - t0, seconds
+        return fold_score, base, phases.total(), phases.seconds
 
     reports = []
     baselines = {}  # seed -> the copying baseline of each fold
     for cfg in cfgs:
+        cfg.validate()  # before its seed draws the split
         rng = np.random.default_rng(cfg.seed)
         shuffled = data[rng.permutation(n)[:used]]
         fold = functools.partial(run_fold, cfg, shuffled, rng.spawn(folds), baselines.get(cfg.seed))

@@ -197,6 +197,32 @@ def test_bad_spec_errors():
         synth_bias_corrected(X, marg, k=0, m=1, rng=np.random.default_rng(0))
 
 
+def test_nan_bin_edge_is_named_as_not_finite():
+    with pytest.raises(BadSpec, match=r"^variable 'x2': bin edges must be finite, got \[nan, 21.0\]$"):
+        MarginalSpec(names=("x2",), edges=(np.asarray([np.nan, 21.0]),), freqs=(np.asarray([200]),), total=200)
+
+
+def test_frequency_outside_int64_is_a_bad_spec():
+    with pytest.raises(BadSpec, match="bin frequencies must fit in int64"):
+        MarginalSpec(names=("x1",), edges=([0.0, 1.0, 2.0],), freqs=([10**20, 1],), total=10)
+
+
+def test_frequencies_that_wrap_int64_do_not_match_a_small_total():
+    # the int64 sum of these four is 2**64 + 5, which wraps around to 5
+    with pytest.raises(InconsistentMarginals, match=f"sum to {2**64 + 5}, declared total is 5"):
+        MarginalSpec(names=("x1",), edges=([0.0, 1.0, 2.0, 3.0, 4.0],),
+                     freqs=([2**62, 2**62, 2**62, 2**62 + 5],), total=5)
+
+
+def test_marginal_variable_naming_two_columns_is_refused():
+    X = np.array([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [3.0, 1.0, 2.0], [4.0, 4.0, 1.0]])
+    marg = MarginalSpec(names=("x",), edges=([0.0, 5.0],), freqs=([10],), total=10)
+    with pytest.raises(BadSpec, match="marginal variable 'x' must name one column; it names 2 of"):
+        check_corrected(X, marg, k=2, m=2, columns=["x", "x", "y"])
+    with pytest.raises(BadSpec, match="marginal variable 'x' must name one column; it names 2 of"):
+        synth_bias_corrected(X, marg, k=2, m=2, rng=np.random.default_rng(0), columns=["x", "x", "y"])
+
+
 def test_stall_limit_emits_partial():
     # With integer rounding, a bin that contains no integer is unreachable:
     # [1.4, 1.6) demands 5 points but every rounded output is 1.0 or 2.0,

@@ -191,6 +191,26 @@ def test_stalled_corrected_run_prints_its_counters_and_deficits(tmp_path, capsys
     assert timings[-1].startswith("time_total: ")
 
 
+def test_stall_whose_sidecar_cannot_be_written_still_explains_itself(tmp_path, capsys):
+    """The stall of the test above with ``--out`` in a missing directory: the
+    counts and deficits still reach stderr, then the sidecar's own error."""
+    train = tmp_path / "train.csv"
+    train.write_text("x1,x2\n1.0,0.2\n1.1,0.5\n0.9,0.8\n1.2,0.3\n1.5,0.6\n1.45,0.1\n1.55,0.9\n")
+    marg = tmp_path / "marg.csv"
+    marg.write_text("variable,lo,hi,freq\nx1,0.6,1.4,4\nx1,1.4,1.6,2\nx2,-0.5,0.5,3\nx2,0.5,1.5,3\n")
+    out = tmp_path / "missing" / "y.csv"
+    code = run_cli(["synthesize-corrected", "--k", "0", "--m", "1", "--round-integers",
+                    "--total", "6", "--marginals", str(marg), "--in", str(train), "--out", str(out)])
+    assert code == 1
+    first, *lines, last = capsys.readouterr().err.splitlines()
+    assert first.startswith("error: StallLimit: no net progress")
+    assert [line.split(": ", 1)[0] for line in lines] == (
+        [f"count_{c}" for c in CORRECTED_COUNTERS] + ["deficit_x1", "deficit_x2"]
+    )
+    assert last == f"error: [Errno 2] No such file or directory: '{out}.manifest.txt'"
+    assert not out.parent.exists()
+
+
 def test_synthesize_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
     train = tmp_path / "train.csv"
     assert run_cli(["gen-data", "--dataset", "swissroll", "--n", "2000", "--seed", "5",
@@ -457,7 +477,8 @@ def test_sweep_scores_the_copying_baseline_once(tmp_path, monkeypatch):
 # and {swiss} a 3-D point set; {missing} does not exist, so a diagnostic about
 # the flags shows they are checked before any input is read. {inf_hi} and
 # {inf_lo} are marginals whose outer x1 bin, holding no ring point, runs to
-# +inf or from -inf.
+# +inf or from -inf; {total_1e18} puts 10**18 points in one x1 bin, and
+# {freq_1e20} asks 10**20 of one.
 MALFORMED = [
     (["synthesize", "--method", "fixed", "--h", "nan", "--l", "5", "--in", "{ring}"], 1,
      "BadParams: bandwidth h must be finite and >= 0, got nan"),
@@ -533,6 +554,37 @@ MALFORMED = [
      "--bins: must be >= 1, got 0"),
     (["sweep", "--method", "knn-rex", "--k", "5", "--folds", "0", "--in", "{missing}"], 2,
      "--folds: must be >= 2, got 0"),
+    # negative seeds, in every command that takes one, before any input is read
+    (["gen-data", "--dataset", "ring", "--n", "5", "--seed", "-1"], 2, "--seed: must be >= 0, got -1"),
+    (["synthesize", "--method", "knn-rex", "--l", "5", "--seed", "-1", "--in", "{missing}"], 1,
+     "BadParams: seed must be >= 0, got -1"),
+    (["synthesize-corrected", "--seed", "-1", "--marginals", "{missing}", "--total", "10",
+      "--in", "{missing}"], 1, "BadParams: seed must be >= 0, got -1"),
+    (["icv", "--method", "fixed", "--seed", "-1", "--folds", "2", "--in", "{missing}"], 1,
+     "BadParams: seed must be >= 0, got -1"),
+    (["sweep", "--method", "fixed", "--seed", "-1", "--folds", "2", "--in", "{missing}"], 1,
+     "BadParams: seed must be >= 0, got -1"),
+    (["validate-asymptotics", "--seed", "-1", "--samples", "100"], 2, "--seed: must be >= 0, got -1"),
+    # sizes past what numpy can address: a usage error above 2**63 - 1, and
+    # below it the one-line error of a size no memory can hold
+    (["synthesize", "--method", "knn-rex", "--k", "5", "--l", "1000000000000000000",
+      "--in", "{ring}"], 1, "error: Unable to allocate"),
+    (["synthesize", "--method", "knn-rex", "--l", "10000000000000000000", "--in", "{missing}"], 2,
+     "--l: must be <= 9223372036854775807, got 10000000000000000000"),
+    (["synthesize-corrected", "--marginals", "{total_1e18}", "--total", "1000000000000000000",
+      "--in", "{ring}"], 1, "error: Unable to allocate"),
+    (["synthesize-corrected", "--marginals", "{missing}", "--total", "10000000000000000000",
+      "--in", "{missing}"], 2, "--total: must be <= 9223372036854775807"),
+    (["synthesize-corrected", "--marginals", "{freq_1e20}", "--total", "10", "--in", "{ring}"], 1,
+     "BadSpec: bin frequencies must fit in int64"),
+    (["gen-data", "--dataset", "ring", "--n", "10000000000000000000"], 2,
+     "--n: must be <= 9223372036854775807"),
+    (["evaluate", "--a", "{missing}", "--b", "{missing}", "--bins", "100000000000000000000"], 2,
+     "--bins: must be <= 9223372036854775807"),
+    (["validate-asymptotics", "--dim", "100000000000000000000"], 2,
+     "--dim: must be <= 9223372036854775807"),
+    (["validate-asymptotics", "--samples", "10000000000000000000"], 2,
+     "--samples: must be <= 9223372036854775807"),
 ]
 
 
@@ -540,12 +592,15 @@ MALFORMED = [
 def point_sets(tmp_path_factory):
     root = tmp_path_factory.mktemp("points")
     paths = {"ring": root / "ring.csv", "swiss": root / "swiss.csv", "missing": root / "no.csv",
-             "inf_hi": root / "inf_hi.csv", "inf_lo": root / "inf_lo.csv", "huge": root / "huge.csv"}
+             "inf_hi": root / "inf_hi.csv", "inf_lo": root / "inf_lo.csv", "huge": root / "huge.csv",
+             "total_1e18": root / "total_1e18.csv", "freq_1e20": root / "freq_1e20.csv"}
     for dataset, name in (("ring", "ring"), ("swissroll", "swiss")):
         assert run_cli(["gen-data", "--dataset", dataset, "--n", "40", "--seed", "0",
                         "--out", str(paths[name])]) == 0
     paths["inf_hi"].write_text("variable,lo,hi,freq\nx1,-5,5,0\nx1,5,inf,10\n")
     paths["inf_lo"].write_text("variable,lo,hi,freq\nx1,-inf,-5,10\nx1,-5,5,0\n")
+    paths["total_1e18"].write_text("variable,lo,hi,freq\nx1,-5,5,1000000000000000000\n")
+    paths["freq_1e20"].write_text("variable,lo,hi,freq\nx1,-5,0,100000000000000000000\nx1,0,5,1\n")
     # finite values whose covariance overflows float64
     paths["huge"].write_text("x1,x2\n1e200,-2e200\n-3e200,1e200\n2e200,3e200\n-1e200,-1e200\n")
     return paths
@@ -599,6 +654,14 @@ def test_golden_regeneration_refuses_unknown_cases():
                          capture_output=True, text=True, env=env)
     assert run.returncode != 0
     assert "unknown case(s) no_such_case" in run.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--dataset", "ring", "--n", "5"],
+    ["validate-asymptotics", "--deltas", "0.4", "--samples", "200"],
+])
+def test_seeds_past_int64_are_accepted(tmp_path, command):
+    assert run_cli([*command, "--seed", str(10**23), "--out", str(tmp_path / "out.txt")]) == 0
 
 
 def test_linear_slope_defaults_to_five(tmp_path):

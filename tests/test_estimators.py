@@ -123,6 +123,8 @@ BAD_VALUES = {
              dict(method="km_rex", L=0, m=3, stall_limit=5)),
     "km-stall_limit": (lambda X, marg, rng: km_fit(X, 2, 3, rng, stall_limit=0),
                        dict(method="km_rex", L=2, m=3, stall_limit=0)),
+    "synthesize-seed": (lambda X, marg, rng: synthesize(EstimatorConfig("bmp", seed=-1), X, 10, rng),
+                        dict(method="bmp", seed=-1)),
 }
 
 
@@ -226,6 +228,9 @@ def test_estimator_config_validation():
         EstimatorConfig(method="fixed_gaussian", h=-1.0).validate()
     with pytest.raises(BadParams):
         EstimatorConfig(method="km_rex", L=0).validate()
+    with pytest.raises(BadParams, match="^seed must be >= 0, got -1$"):
+        EstimatorConfig(method="knn_rex", seed=-1).validate()
+    EstimatorConfig(method="knn_rex", seed=10**23).validate()  # numpy seeds take any size
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])

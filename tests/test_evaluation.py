@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from knnrex import (
     welch_t,
 )
 import knnrex.evaluation
-from knnrex.evaluation import union_hellinger
+from knnrex.evaluation import Phases, union_hellinger
 
 
 def dense_hellinger(Y, Z, binning):
@@ -518,3 +519,25 @@ def test_icv_errors():
         icv_run(data[:3], EstimatorConfig(method="fixed_gaussian", h=0.1), folds=4)
     with pytest.raises(BadParams):
         icv_run(data, EstimatorConfig(method="knn_rex_corrected"), folds=2)
+    with pytest.raises(BadParams, match="^seed must be >= 0, got -1$"):  # before the split is drawn
+        icv_run(data, EstimatorConfig("fixed_gaussian", h=0.1, seed=-1), folds=4)
+    with pytest.raises(BadParams, match="^seed must be >= 0, got -2$"):
+        icv_sweep(data, [EstimatorConfig("fixed_gaussian", h=0.1), EstimatorConfig("bmp", seed=-2)], folds=4)
+
+
+def test_phases_add_up_blocks_and_keep_counts_in_order():
+    phases = Phases(("read", "write"))
+    assert phases.seconds == {"read": 0.0, "write": 0.0}
+    with phases.measure("read"):
+        time.sleep(0.002)
+    once = phases.seconds["read"]
+    with phases.measure("read"):
+        time.sleep(0.002)
+    with pytest.raises(KeyError), phases.measure("lookup"):  # a block that raises still counts
+        {}["missing"]
+    assert once > 0.0 and phases.seconds["read"] > once
+    assert list(phases.seconds) == ["read", "write", "lookup"] and phases.seconds["write"] == 0.0
+    phases.counts["zeta"] = 2
+    phases.counts["alpha"] = 1
+    assert list(phases.counts.items()) == [("zeta", 2), ("alpha", 1)]
+    assert phases.total() >= sum(phases.seconds.values())
