@@ -44,6 +44,7 @@ from .estimators import (
     EstimatorConfig,
     KmModel,
     MarginalSpec,
+    PointStream,
     km_fit,
     km_loglik,
     km_synth,
@@ -52,6 +53,7 @@ from .estimators import (
     synth_bmp,
     synth_fixed_gaussian,
     synth_knn_rex,
+    synthesis_stream,
     synthesize,
 )
 from .evaluation import BinningSpec, IcvReport, hellinger, icv_run, icv_sweep, make_binning, welch_t

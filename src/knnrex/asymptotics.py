@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, RejectionStall, ZeroDensity
+from .errors import BadParams, RejectionStall, ZeroDensity, check_addressable
 
 # Rejection sampling gives up below this acceptance rate.
 _MIN_ACCEPT_RATE = 1e-4
@@ -139,7 +139,10 @@ def _ball_mc_detail(model, x, delta, n_samples, rng):
     if f_max <= 0.0:
         raise ZeroDensity("density bound on the ball is not positive")
 
-    kept = []
+    # The accepted sample is filled in place, and its (n_samples, d, d)
+    # fourth-moment products are the largest array made from it.
+    check_addressable((n_samples, d, d))
+    sample = np.empty((n_samples, d))
     accepted = 0
     proposed = 0
     while accepted < n_samples:
@@ -148,16 +151,15 @@ def _ball_mc_detail(model, x, delta, n_samples, rng):
         inside = np.einsum("ij,ij->i", pts - x, pts - x) <= delta * delta
         take = inside & (u < model.density(pts))
         proposed += _PROPOSAL_CHUNK
-        got = pts[take]
-        accepted += got.shape[0]
-        kept.append(got)
+        got = pts[take][: n_samples - accepted]
+        sample[accepted : accepted + got.shape[0]] = got
+        accepted += int(take.sum())
         if proposed >= 100_000 and accepted / proposed < _MIN_ACCEPT_RATE:
             raise RejectionStall(
                 f"acceptance rate {accepted / proposed:.2e} below {_MIN_ACCEPT_RATE:g} "
                 f"after {proposed} proposals"
             )
 
-    sample = np.concatenate(kept, axis=0)[:n_samples]
     mean = sample.mean(axis=0)
     dev = sample - mean
     cov = dev.T @ dev / n_samples

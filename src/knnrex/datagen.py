@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, BadSpec
+from .errors import BadParams, BadSpec, check_addressable
+
+
+def _check_n(n: int, d: int) -> None:
+    """BadParams for n < 1; MemoryError for n points of dimension d past
+    what numpy can address."""
+    if n < 1:
+        raise BadParams(f"n must be >= 1, got {n}")
+    check_addressable((n, d))
 
 
 def gen_swiss_roll(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -15,8 +23,7 @@ def gen_swiss_roll(n: int, rng: np.random.Generator) -> np.ndarray:
 
     Intrinsic dimension 2 (the (t, u) sheet rolled into 3-space).
     """
-    if n < 1:
-        raise BadParams(f"n must be >= 1, got {n}")
+    _check_n(n, 3)
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
     u = rng.uniform(0.0, 21.0, size=n)
     return np.column_stack([t * np.cos(t), u, t * np.sin(t)])
@@ -24,8 +31,7 @@ def gen_swiss_roll(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def gen_ring(n: int, rng: np.random.Generator, radius: float = 1.0, sigma: float = 0.1) -> np.ndarray:
     """2-d ring: radius ~ N(radius, sigma^2), angle uniform on [0, 2pi)."""
-    if n < 1:
-        raise BadParams(f"n must be >= 1, got {n}")
+    _check_n(n, 2)
     r = rng.normal(radius, sigma, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
@@ -70,9 +76,8 @@ class GmmSpec:
 
 def gen_gmm(spec: GmmSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the Gaussian mixture."""
-    if n < 1:
-        raise BadParams(f"n must be >= 1, got {n}")
     k, d = spec.means.shape
+    _check_n(n, d)
     assignment = rng.choice(k, size=n, p=spec.weights)
     out = np.empty((n, d))
     for j in range(k):

@@ -12,10 +12,15 @@ gives back the same floats.
 """
 
 import csv
+import errno
+import io
 import math
 import os
-import signal
+import select
+import shutil
 import stat
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -23,12 +28,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec, CsvFormatError
-from .estimators import MarginalSpec, default_columns
+from .estimators import MarginalSpec, PointStream, default_columns
 
-# Rows formatted per write call. A block's field list and text take about
-# 3.5 MB per column at their peak (11 MB at d = 3), whatever the population
-# size: on the order of the k-NN build's 16 MiB chunk budget.
+# Rows per block of an array being written; a stream is written in its own
+# blocks. An output of more rows than this is formatted on two cores. A
+# block's field list and text take about 3.5 MB per column at their peak
+# (11 MB at d = 3), whatever the population size: on the order of the k-NN
+# build's 16 MiB chunk budget.
 WRITE_BLOCK_ROWS = 65_536
+
+# Blocks this process formats while the formatter holds an earlier one, at
+# most, before it waits for the formatter's text.
+_LOOKAHEAD = 2
+
+# The formatter that ``write_points_csv`` runs with ``sys.executable -I -S``,
+# so it imports no numpy and no site packages. Per block it reads an 8-byte
+# little-endian row count and the rows as native float64 values, and answers
+# with an 8-byte byte count and the rows' UTF-8 text, each value as ``%r``.
+# It ends at the end of its input. It ignores SIGINT: on an interrupt the
+# writer kills it.
+_FORMATTER = """
+import array, signal, sys
+signal.signal(signal.SIGINT, signal.SIG_IGN)
+d = int(sys.argv[1])
+line = ",".join(["%r"] * d) + "\\n"
+read, out = sys.stdin.buffer.read, sys.stdout.buffer
+while head := read(8):
+    rows = int.from_bytes(head, "little")
+    values = array.array("d")
+    values.frombytes(read(8 * d * rows))
+    text = ((line * rows) % tuple(values)).encode()
+    out.write(len(text).to_bytes(8, "little"))
+    out.write(text)
+    out.flush()
+"""
 
 # Characters per read while scanning a point CSV for _LOADTXT_ONLY_SPACE.
 _SCAN_CHARS = 1 << 20
@@ -145,35 +178,41 @@ def _read_rows(path, handle) -> PointSet:
 def write_points_csv(path, points: PointSet) -> None:
     """Write a header row, then one line per point, each value as ``%r``.
 
-    On a POSIX system, an output of more than one ``WRITE_BLOCK_ROWS`` block
-    is formatted on two cores: one forked child formats the rows from the
-    middle block boundary on while this process formats the rows before it,
-    then this process copies the child's bytes after its own. The bytes are
-    those this process writes alone, as it does for one block or where
-    ``os.fork`` is missing or fails. A child that fails raises OSError naming
-    ``path``. A failed write removes ``path`` if it is a regular file. Under
-    Python 3.12 and later, ``os.fork`` warns (DeprecationWarning) in a
-    process that runs threads, such as OpenBLAS workers.
+    ``points.values`` is an array or a ``PointStream``; either is consumed
+    block by block in row order, so a stream's population is never held
+    whole. Where there are more than ``WRITE_BLOCK_ROWS`` rows, the blocks
+    are formatted on two cores: by this process and by one spawned
+    formatter process (``_FORMATTER``), each block by whichever is free
+    (see ``_Formatter.write``), and the text is written in row order. The
+    bytes are those this process writes alone, as it does for fewer rows or
+    where the formatter cannot start. A formatter that fails raises OSError
+    naming ``path``; it is reaped on every path, and killed if this process
+    fails or is interrupted.
+
+    Before the output is opened, OSError(ENOSPC) naming ``path`` is raised
+    if the rows cannot fit in the free space of its file system at 4 bytes
+    a value, the fewest any value takes. A failed write removes ``path`` if
+    it is a regular file.
     """
-    columns = points.columns or default_columns(points.dim)
-    values = np.asarray(points.values, dtype=np.float64)
-    line = ",".join(["%r"] * values.shape[1]) + "\n"
-    n = values.shape[0]
-    blocks = -(-n // WRITE_BLOCK_ROWS)
-    mid = WRITE_BLOCK_ROWS * (blocks // 2) if blocks > 1 else n
-    handle = open(path, "w", encoding="utf-8", newline="")
-    try:  # only this process reaches the except: the forked child leaves by os._exit
-        with handle, _forked_formatter(path, line, values[mid:]) as pipe:
-            if pipe is None:  # no child: this process formats every row
-                mid = n
-            csv.writer(handle, lineterminator="\n").writerow(columns)
-            for start in range(0, mid, WRITE_BLOCK_ROWS):
-                handle.write(_format_block(line, values[start : start + WRITE_BLOCK_ROWS]))
-            if pipe is not None:
-                handle.flush()
-                chunk = memoryview(bytearray(1 << 20))  # reused: new bytes per read fragment the heap
-                while size := os.readv(pipe, [chunk]):
-                    handle.buffer.write(chunk[:size])
+    values = points.values
+    if not isinstance(values, PointStream):
+        values = np.asarray(values, dtype=np.float64)
+    n, d = values.shape
+    _check_space(path, n, d)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(points.columns or default_columns(d))
+    line = ",".join(["%r"] * d) + "\n"
+    handle = open(path, "wb")
+    try:
+        with handle, _formatter(path, d, n > WRITE_BLOCK_ROWS) as formatter:
+            handle.write(header.getvalue().encode("utf-8"))
+            blocks = iter(values) if isinstance(values, PointStream) else (
+                values[start : start + WRITE_BLOCK_ROWS] for start in range(0, n, WRITE_BLOCK_ROWS)
+            )
+            if formatter is None:
+                handle.writelines(_format_block(line, block) for block in blocks)
+            else:
+                formatter.write(handle, line, blocks)
     except BaseException:
         with suppress(OSError):  # a failed removal must not hide the write's error
             if stat.S_ISREG(os.lstat(path).st_mode):
@@ -181,58 +220,121 @@ def write_points_csv(path, points: PointSet) -> None:
         raise
 
 
-def _format_block(line, block) -> str:
-    """The text of the rows of ``block``, one ``line`` template each."""
-    return (line * block.shape[0]) % tuple(block.ravel().tolist())
+def _format_block(line, block) -> bytes:
+    """The UTF-8 text of the rows of ``block``, one ``line`` template each."""
+    return ((line * block.shape[0]) % tuple(block.ravel().tolist())).encode("utf-8")
+
+
+def _check_space(path, rows, d):
+    """Raise OSError(ENOSPC) naming ``path`` where ``rows`` rows of d values,
+    at least 4 bytes a value, exceed the free space of its file system plus
+    what the file holds now. Nothing is checked for an output that is not a
+    regular file (such as /dev/stdout) or whose file system cannot be
+    queried; ``open`` then reports what is wrong."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        held = 0
+    else:
+        if not stat.S_ISREG(info.st_mode):
+            return
+        held = info.st_size
+    try:
+        free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    except OSError:
+        return
+    need = 4 * d * rows
+    if need > free + held:
+        raise OSError(errno.ENOSPC, f"{os.strerror(errno.ENOSPC)}: {rows} rows of {d} values need "
+                      f"at least {need} bytes, {free + held} are free", os.fspath(path))
+
+
+class _Formatter:
+    """The pipes of a started ``_FORMATTER`` process, which holds at most one
+    block at a time. A broken pipe or a short answer reaps the process and
+    raises OSError naming ``path``."""
+
+    def __init__(self, path, process):
+        self.path = path
+        self.process = process
+
+    def write(self, handle, line, blocks):
+        """Write the text of ``blocks`` to ``handle`` in row order, each block
+        formatted by whichever process is free: a block goes to the formatter
+        when it holds none; while it holds one, this process formats the
+        blocks that follow with ``line`` and keeps their text, at most
+        ``_LOOKAHEAD`` blocks of it, until the formatter's text, which comes
+        first, is written. So this process, which also draws a stream's
+        blocks, formats fewer of them when it is the busier one."""
+        held = False
+        waiting = []
+        for block in blocks:
+            if held and (len(waiting) == _LOOKAHEAD or select.select([self.process.stdout], [], [], 0)[0]):
+                handle.write(self.receive())
+                handle.writelines(waiting)
+                waiting.clear()
+                held = False
+            if held:
+                waiting.append(_format_block(line, block))
+            else:
+                self.send(block)
+                held = True
+        if held:
+            handle.write(self.receive())
+            handle.writelines(waiting)
+
+    def send(self, block):
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        try:
+            self.process.stdin.write(block.shape[0].to_bytes(8, "little"))
+            self.process.stdin.write(block.data)
+            self.process.stdin.flush()
+        except OSError:
+            self.failed()
+
+    def receive(self) -> bytes:
+        head = self.process.stdout.read(8)
+        size = int.from_bytes(head, "little")
+        text = self.process.stdout.read(size) if len(head) == 8 else b""
+        if len(text) != size or len(head) != 8:
+            self.failed()
+        return text
+
+    def failed(self):
+        status = self.process.wait()
+        raise OSError(f"{self.path}: the formatting process exited with status {status}") from None
 
 
 @contextmanager
-def _forked_formatter(path, line, rows):
-    """Fork one child that formats ``rows`` block by block, then sends their
-    UTF-8 bytes through a pipe, and give the pipe's read end; give None, and
-    fork nothing, where there are no rows or ``os.fork`` is missing or fails.
+def _formatter(path, d, wanted):
+    """A started formatter for rows of d values, or None where it is not
+    ``wanted`` or cannot start: no interpreter, a spawn that fails, or a
+    system whose ``select`` cannot poll a pipe (only POSIX ones can).
 
-    The child leaves only through ``os._exit``, so it runs none of the
-    caller's cleanup and flushes none of its buffers. On leaving the block,
-    the child is killed if the block raises and is always reaped; a nonzero
-    exit status raises OSError naming ``path``.
+    On leaving the block, the process is killed if the block raises, and it
+    is always reaped with its pipes closed; a nonzero exit status raises
+    OSError naming ``path``.
     """
-    fork = getattr(os, "fork", None)
-    if rows.shape[0] == 0 or fork is None:
+    process = None
+    if wanted and sys.executable and os.name == "posix":
+        with suppress(OSError):
+            process = subprocess.Popen([sys.executable, "-I", "-S", "-c", _FORMATTER, str(d)],
+                                       stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    if process is None:
         yield None
         return
-    read_end, write_end = os.pipe()
     try:
-        pid = fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        yield None
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            chunks = [
-                _format_block(line, rows[start : start + WRITE_BLOCK_ROWS]).encode("utf-8")
-                for start in range(0, rows.shape[0], WRITE_BLOCK_ROWS)
-            ]
-            with open(write_end, "wb") as pipe:
-                pipe.writelines(chunks)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
-        yield read_end
+        yield _Formatter(path, process)
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        process.kill()
         raise
     finally:
-        os.close(read_end)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        with suppress(OSError):  # a killed formatter breaks the pipe
+            process.stdin.close()
+        process.stdout.close()
+        status = process.wait()
     if status != 0:
-        raise OSError(f"{path}: the forked formatting process exited with status {status}")
+        raise OSError(f"{path}: the formatting process exited with status {status}")
 
 
 def read_marginals_csv(path, total: int) -> MarginalSpec:

@@ -1,8 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the size guard.
 
 Every error raised by the library derives from KnnRexError so callers (and
 the CLI) can distinguish domain errors from programming mistakes.
+``check_addressable`` is the one rule for an array whose size comes from
+the caller: one past what numpy can address raises MemoryError.
 """
+
+import math
+import sys
+
+
+def check_addressable(shape) -> None:
+    """Raise MemoryError, as an allocation numpy cannot make does, for a
+    float64 array of ``shape`` past what numpy can address (numpy raises
+    ValueError or IndexError there instead). An empty axis counts as one,
+    so a size is refused whatever the other axes are."""
+    if math.prod(max(size, 1) for size in shape) * 8 > sys.maxsize:
+        raise MemoryError(f"Unable to allocate an array with shape {tuple(shape)} and data type float64")
 
 
 class KnnRexError(Exception):

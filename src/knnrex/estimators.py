@@ -16,14 +16,20 @@ Plus ``km_fit``/``km_synth``: the likelihood-optimized crossover-kernel
 baseline that hill-climbs the choice of L fixed kernel construction sets,
 and ``suggest_params``, the optimization-free parameter rule.
 
-``synthesize(cfg, X, l, rng)`` is the only code that maps an
-``EstimatorConfig`` to its synthesizer; the CLI and inverted cross-validation
-call it on the sample in its own units. It and ``synth_bias_corrected`` each
-own their whitening and k-NN index, and time the "whiten", "index" and
-"synthesis" phases, never nested, through an optional ``measure(name)``
-factory. Every method of ``synthesize`` shares one chunk loop: chunk i of
-``DEFAULT_CHUNK`` points draws only from the i-th child stream spawned from
-the caller's generator, so a seed pins the output exactly.
+``synthesis_stream(cfg, X, l, rng)`` is the only code that maps an
+``EstimatorConfig`` to its synthesizer. It takes the sample in its own
+units and gives a ``PointStream``: the l points as blocks of rows, each
+drawn, and mapped back to the sample's units, only when it is asked for,
+so a consumer such as the CLI's CSV writer never holds the (l, d)
+population. ``synthesize(cfg, X, l, rng)``, which inverted
+cross-validation calls, is the array of the same blocks. These and
+``synth_bias_corrected`` each own their whitening and k-NN index, and time
+the "whiten", "index" and "synthesis" phases through an optional
+``measure(name)`` factory; a stream times each block it draws as
+"synthesis", inside whatever phase its consumer runs. Every method shares
+one chunk loop: chunk i of ``DEFAULT_CHUNK`` points draws only from the
+i-th child stream spawned from the caller's generator, so a seed pins the
+output exactly, whether it is drawn as a stream or as an array.
 """
 
 import math
@@ -40,6 +46,7 @@ from .errors import (
     NonFiniteSample,
     SingularSigma,
     StallLimit,
+    check_addressable,
 )
 from .kernels import kcs_stats, rex_batch, rex_log_density
 from .knn import build_knn, query_neighbors
@@ -108,6 +115,19 @@ class EstimatorConfig:
                 raise BadParams(f"need stall_limit >= 1, got {self.stall_limit}")
 
 
+class PointStream:
+    """``shape[0]`` points of dimension ``shape[1]``, as one pass over
+    (s, d) float64 blocks in row order; a block is drawn when it is asked
+    for, so the stream can be iterated once."""
+
+    def __init__(self, shape: tuple, blocks):
+        self.shape = shape
+        self._blocks = blocks
+
+    def __iter__(self):
+        return self._blocks
+
+
 def synthesize(
     cfg: EstimatorConfig,
     X: np.ndarray,
@@ -115,11 +135,26 @@ def synthesize(
     rng: np.random.Generator,
     measure=nullcontext,
 ) -> np.ndarray:
-    """Draw l points from the sample X by the method of ``cfg``.
+    """Draw l points from the sample X by the method of ``cfg``, as one
+    (l, d) array: the blocks of ``synthesis_stream`` in order."""
+    return _fill(synthesis_stream(cfg, X, l, rng, measure))
+
+
+def synthesis_stream(
+    cfg: EstimatorConfig,
+    X: np.ndarray,
+    l: int,
+    rng: np.random.Generator,
+    measure=nullcontext,
+) -> PointStream:
+    """Draw l points from the sample X by the method of ``cfg``, as a stream.
 
     The method runs on the whitened sample, with a k-NN index of it when
-    the method reads one, and the draws are mapped back to X's units.
-    ``measure(name)`` wraps the "whiten", "index" and "synthesis" phases.
+    the method reads one; these are built, and km's sets fitted, before
+    this returns. Each block is drawn when the stream is iterated and
+    mapped back to X's units on its own, with the same bits as the map of
+    the whole population. ``measure(name)`` wraps the "whiten", "index" and
+    "synthesis" phases; the draw of each block is "synthesis" too.
     """
     cfg.validate()
     X = _sample(X)
@@ -132,33 +167,54 @@ def synthesize(
             index = build_knn(X_w, cfg.k)
     with measure("synthesis"):
         if cfg.method == "knn_rex":
-            Y_w = synth_knn_rex(X_w, cfg.k, cfg.m, l, rng, index=index)
+            draw = _rex_draw(X_w, cfg.m, index)
         elif cfg.method == "fixed_gaussian":
-            Y_w = synth_fixed_gaussian(X_w, cfg.h, l, rng)
+            draw = _gaussian_draw(X_w, np.full(X_w.shape[0], cfg.h, dtype=np.float64))
         elif cfg.method == "bmp":
-            Y_w = synth_bmp(X_w, cfg.k, cfg.h, l, rng, index=index)
+            draw = _gaussian_draw(X_w, cfg.h * index.dists[:, cfg.k - 1])
         else:
             model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
-            Y_w = km_synth(model, X_w, l, rng)
-        return whiten_invert(transform, Y_w)
+            draw = _km_draw(model, X_w)
+
+    def mapped(size, crng):
+        with measure("synthesis"):
+            Y_w = draw(size, crng)
+            if size == 1 < l:
+                # numpy takes a one-row product to gemv, whose rounding can
+                # differ from the gemm that maps the row in a larger array
+                return whiten_invert(transform, np.repeat(Y_w, 2, axis=0))[:1]
+            return whiten_invert(transform, Y_w)
+
+    return _stream(l, X.shape[1], rng, mapped)
 
 
 def _empty_points(l: int, d: int) -> np.ndarray:
-    """An uninitialised (l, d) float64 array. A size past what numpy can
-    address raises MemoryError, as one it cannot allocate does, rather than
-    numpy's ValueError."""
-    if l * max(d, 1) * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"Unable to allocate an array with shape ({l}, {d}) and data type float64")
+    """An uninitialised (l, d) float64 array; one past what numpy can address
+    raises MemoryError, as one it cannot allocate does."""
+    check_addressable((l, d))
     return np.empty((l, d))
 
 
-def _chunked(l: int, d: int, rng: np.random.Generator, draw) -> np.ndarray:
-    """Fill an (l, d) output chunk by chunk with ``draw(size, chunk_rng)``."""
-    out = _empty_points(l, d)
-    starts = range(0, l, DEFAULT_CHUNK)
-    for start, crng in zip(starts, rng.spawn(len(starts))):
-        stop = min(start + DEFAULT_CHUNK, l)
-        out[start:stop] = draw(stop - start, crng)
+def _stream(l: int, d: int, rng: np.random.Generator, draw) -> PointStream:
+    """l points by ``draw(size, chunk_rng)``: chunk i of ``DEFAULT_CHUNK``
+    points from the i-th generator spawned from ``rng``, spawned when the
+    chunk is drawn (the i-th ``rng.spawn(1)`` is ``rng.spawn(n)[i]``)."""
+
+    def blocks():
+        for start in range(0, l, DEFAULT_CHUNK):
+            [crng] = rng.spawn(1)
+            yield draw(min(DEFAULT_CHUNK, l - start), crng)
+
+    return PointStream((l, d), blocks())
+
+
+def _fill(points: PointStream) -> np.ndarray:
+    """The blocks of ``points`` in one array."""
+    out = _empty_points(*points.shape)
+    start = 0
+    for block in points:
+        out[start : start + block.shape[0]] = block
+        start += block.shape[0]
     return out
 
 
@@ -178,10 +234,15 @@ def synth_knn_rex(
     of any other shape raises BadParams.
     """
     X = _sample(X)
-    n, d = X.shape
     EstimatorConfig("knn_rex", k=k, m=m).validate()
     if m > 1:
         index = _index(X, k, index)
+    return _fill(_stream(l, X.shape[1], rng, _rex_draw(X, m, index)))
+
+
+def _rex_draw(X, m, index):
+    """``draw(size, rng)`` of the k-NN REX kernel on X with ``index``."""
+    n = X.shape[0]
 
     def draw(size, crng):
         seeds = crng.integers(0, n, size=size)
@@ -190,7 +251,7 @@ def synth_knn_rex(
         picks = _pick_neighbors(index.ids, m, crng, rows=seeds)
         return rex_batch(X[np.column_stack((seeds, picks))], crng)
 
-    return _chunked(l, d, rng, draw)
+    return draw
 
 
 def _index(X, k, index):
@@ -217,14 +278,20 @@ def _pick_neighbors(neighbors: np.ndarray, m: int, rng: np.random.Generator, row
     if m - 1 == 1:
         cols = rng.integers(0, k, size=rows.size)
         return neighbors[rows, cols][:, np.newaxis]
-    # m-1 smallest of k i.i.d. uniform scores = a uniform subset.
+    # m-1 smallest of k i.i.d. uniform scores = a uniform subset, in
+    # ascending score order: their order is the order of the REX fold. A sort
+    # fixes it on every CPU (argpartition leaves it to numpy's CPU-dispatched
+    # selection), and numpy's dispatched sort of a short row costs what the
+    # selection did. Only a tie between scores, about k**2 / 2**54 per row,
+    # can be ordered differently on another CPU.
     scores = rng.random((rows.size, k))
-    cols = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
+    cols = np.argsort(scores, axis=1)[:, : m - 1]
     return neighbors.ravel()[rows[:, np.newaxis] * k + cols]
 
 
-def _gaussian(X, widths, l, rng):
-    """Resample X with per-point spherical Gaussian noise of std ``widths``."""
+def _gaussian_draw(X, widths):
+    """``draw(size, rng)`` resampling X with per-point spherical Gaussian
+    noise of std ``widths``."""
     n, d = X.shape
 
     def draw(size, crng):
@@ -232,7 +299,7 @@ def _gaussian(X, widths, l, rng):
         z = crng.standard_normal((size, d))
         return X[seeds] + widths[seeds, np.newaxis] * z
 
-    return _chunked(l, d, rng, draw)
+    return draw
 
 
 def synth_fixed_gaussian(
@@ -244,7 +311,7 @@ def synth_fixed_gaussian(
     """Synthesize l points from the fixed scalar-bandwidth Gaussian mixture."""
     X = _sample(X)
     EstimatorConfig("fixed_gaussian", h=h).validate()
-    return _gaussian(X, np.full(X.shape[0], h, dtype=np.float64), l, rng)
+    return _fill(_stream(l, X.shape[1], rng, _gaussian_draw(X, np.full(X.shape[0], h, dtype=np.float64))))
 
 
 def synth_bmp(
@@ -259,7 +326,7 @@ def synth_bmp(
     X = _sample(X)
     EstimatorConfig("bmp", k=k, h=h).validate()
     index = _index(X, k, index)
-    return _gaussian(X, h * index.dists[:, k - 1], l, rng)
+    return _fill(_stream(l, X.shape[1], rng, _gaussian_draw(X, h * index.dists[:, k - 1])))
 
 
 def suggest_params(d_intrinsic: int, n: int | None = None) -> tuple[int, int]:
@@ -664,10 +731,15 @@ def km_synth(
 ) -> np.ndarray:
     """Draw l points: choose one of the L sets uniformly, then one REX draw."""
     X = np.asarray(X, dtype=np.float64)
+    return _fill(_stream(l, X.shape[1], rng, _km_draw(model, X)))
+
+
+def _km_draw(model, X):
+    """``draw(size, rng)`` of km's mixture of fixed REX kernels on X."""
     L = model.kcss.shape[0]
 
     def draw(size, crng):
         choice = crng.integers(0, L, size=size)
         return rex_batch(X[model.kcss[choice]], crng)
 
-    return _chunked(l, X.shape[1], rng, draw)
+    return draw

@@ -17,7 +17,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BadParams, DegenerateVariance, DimensionMismatch, EmptyData, TooFewPoints
+from .errors import (
+    BadParams,
+    DegenerateVariance,
+    DimensionMismatch,
+    EmptyData,
+    TooFewPoints,
+    check_addressable,
+)
 from .estimators import EstimatorConfig, synthesize
 
 
@@ -112,6 +119,7 @@ def make_binning(data: np.ndarray, bins_per_dim: int) -> BinningSpec:
         raise EmptyData("cannot build a binning from empty data")
     if bins_per_dim < 1:
         raise BadParams(f"bins_per_dim must be >= 1, got {bins_per_dim}")
+    check_addressable((bins_per_dim + 1,))
     edges = []
     for j in range(data.shape[1]):
         lo, hi = float(data[:, j].min()), float(data[:, j].max())
@@ -305,22 +313,30 @@ FOLD_PHASES = ("whiten", "index", "synthesis", "score", "baseline")
 class Phases:
     """One run's wall-clock phases and deterministic counts: ``seconds`` maps
     a phase to its seconds, each of ``names`` from 0.0, and ``counts`` keeps
-    the order recorded. Phases never nest (the library times whiten, index
-    and synthesis), so they sum to at most ``total()``."""
+    the order recorded. A phase measured inside another counts for the inner
+    one only: its seconds are taken off the outer phase (the CLI's "write"
+    runs the stream's "synthesis" blocks), so the phases stay exclusive and
+    sum to at most ``total()``."""
 
     def __init__(self, names=()):
         self.seconds = dict.fromkeys(names, 0.0)
         self.counts = {}
         self._t0 = time.perf_counter()
+        self._inner = []  # per open phase, the seconds of the phases measured inside it
 
     @contextmanager
     def measure(self, name):
-        """Add the block's wall-clock seconds to phase ``name``."""
+        """Add the block's wall-clock seconds, less those of the phases
+        measured inside it, to phase ``name``."""
         start = time.perf_counter()
+        self._inner.append(0.0)
         try:
             yield
         finally:
-            self.seconds[name] = self.seconds.get(name, 0.0) + time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed - self._inner.pop()
+            if self._inner:
+                self._inner[-1] += elapsed
 
     def total(self):
         """Seconds since the recorder was made."""

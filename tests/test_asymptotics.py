@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from knnrex import (
     uniform_model,
 )
 from knnrex.asymptotics import check_gradient
+from knnrex.errors import check_addressable
 
 
 def test_theory_uniform_1d_is_uniform_variance():
@@ -158,3 +161,24 @@ def test_delta_must_be_finite_and_positive(bad):
         ball_cov_mc(model, x, bad, 1000, rng)
     with pytest.raises(BadParams, match="must be finite and > 0"):
         asymptotics_report(model, x, [0.2, bad], 1000, rng)
+
+
+class _NoDraws:
+    """A generator stand-in that fails any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew with rng.{name} before the size check")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_mc_refuses_a_sample_numpy_cannot_address_before_drawing(dim):
+    """The (n_samples, d, d) fourth-moment products are the largest array
+    made from the sample: the last size numpy can address passes the check,
+    the next one is refused before anything is drawn or allocated, and a
+    small one goes on to draw."""
+    largest = sys.maxsize // (8 * dim * dim)
+    check_addressable((largest, dim, dim))
+    with pytest.raises(MemoryError, match=rf"^Unable to allocate an array with shape \({largest + 1}, {dim}, {dim}\)"):
+        ball_cov_mc(uniform_model(dim), np.zeros(dim), 0.2, largest + 1, _NoDraws())
+    with pytest.raises(AssertionError, match="before the size check"):
+        ball_cov_mc(uniform_model(dim), np.zeros(dim), 0.2, 10, _NoDraws())

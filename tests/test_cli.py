@@ -243,16 +243,12 @@ def test_synthesize_over_two_write_blocks_writes_the_row_writer_bytes(tmp_path):
     assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-# Runs the CLI with a block formatter that fails in the forked child only.
+# Runs the CLI with a formatter process that exits 1 once it has read the
+# header of its first block.
 FAILING_CHILD = """
-import os, sys
+import sys
 import knnrex.cli, knnrex.dataio
-parent, format_block = os.getpid(), knnrex.dataio._format_block
-def format_in_parent(line, block):
-    if os.getpid() != parent:
-        raise ValueError("formatting failed")
-    return format_block(line, block)
-knnrex.dataio._format_block = format_in_parent
+knnrex.dataio._FORMATTER = "import sys; sys.stdin.buffer.read(8); sys.exit(1)"
 sys.exit(knnrex.cli.main(sys.argv[1:]))
 """
 
@@ -270,10 +266,81 @@ def test_failed_formatting_child_exit_1(tmp_path):
     assert run.returncode == 1
     assert "Traceback" not in run.stderr and "Warning" not in run.stderr
     assert run.stderr.splitlines() == [
-        f"error: {out}: the forked formatting process exited with status 1"
+        f"error: {out}: the formatting process exited with status 1"
     ]
     assert not (tmp_path / "pop.csv.manifest.txt").exists()
     assert not out.exists()
+
+
+def _cli(*args, env=None):
+    """Run ``python *args`` with the package importable; its CompletedProcess."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(pathlib.Path(knnrex.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=600)
+
+
+def test_synthesize_runs_clean_under_dev_mode_and_warnings_as_errors(tmp_path):
+    """Past two write blocks, under ``-X dev -W error``: a leaked pipe, an
+    unreaped formatter or a fork in a threaded process would warn."""
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "200", "--seed", "2",
+                    "--out", str(train)]) == 0
+    out = tmp_path / "pop.csv"
+    run = _cli("-X", "dev", "-W", "error", "-m", "knnrex.cli", "synthesize", "--method", "knn-rex",
+               "--k", "5", "--m", "2", "--l", "140000", "--seed", "4", "--in", str(train), "--out", str(out))
+    assert (run.returncode, run.stderr) == (0, "")
+    assert len(out.read_bytes().splitlines()) == 140_001
+
+
+# Runs the CLI, then prints the process's own peak resident set in KiB.
+PEAK_RSS = """
+import resource, sys
+import knnrex.cli
+code = knnrex.cli.main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def test_synthesize_peak_memory_does_not_grow_with_l(tmp_path):
+    """The population is drawn, mapped back and written block by block, so
+    450,000 more rows (7.2 MB as float64 at d = 2, which a whole-array
+    synthesis holds twice over) leave the process's peak within 4 MB."""
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "200", "--seed", "2",
+                    "--out", str(train)]) == 0
+    peaks = []
+    for l in (50_000, 500_000):
+        out = tmp_path / f"pop{l}.csv"
+        run = _cli("-c", PEAK_RSS, "synthesize", "--method", "knn-rex", "--k", "5", "--m", "2",
+                   "--l", str(l), "--seed", "4", "--in", str(train), "--out", str(out))
+        assert run.returncode == 0, run.stderr
+        peaks.append(int(run.stdout.split()[-1]) / 1024)
+        out.unlink()
+    assert abs(peaks[1] - peaks[0]) < 4.0, peaks
+
+
+# Without these features numpy runs other kernels for its CPU-dispatched
+# selection and sorting; the order of the m - 1 neighbor picks, which is the
+# order of the REX fold, must not depend on which kernel runs.
+BASELINE_CPU = "AVX512_ICL AVX512_SPR X86_V4 X86_V3"
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_synthesize_writes_the_same_bytes_without_dispatched_cpu_features(tmp_path, m):
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "ring", "--n", "300", "--seed", "0",
+                    "--out", str(train)]) == 0
+    outputs = []
+    for features in ("", BASELINE_CPU):
+        out = tmp_path / f"pop{len(outputs)}.csv"
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=features)
+        run = _cli("-m", "knnrex.cli", "synthesize", "--method", "knn-rex", "--k", "15", "--m", str(m),
+                   "--l", "20000", "--seed", "3", "--in", str(train), "--out", str(out), env=env)
+        if run.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in run.stderr:
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}")
+        assert run.returncode == 0, run.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_non_finite_input_exit_1(tmp_path, capsys):
@@ -531,9 +598,10 @@ MALFORMED = [
      "BadParams: k must be >= 1, got 0"),
     (["gen-data", "--dataset", "gmm", "--n", "5"], 1,
      "BadParams: gen-data --dataset gmm requires --spec"),
-    # sizes beyond any address space: refused by the allocator, whatever the overcommit mode
+    # sizes beyond any address space: refused by the allocator, whatever the
+    # overcommit mode; a streamed population, by the free space of the output's disk
     (["synthesize", "--method", "knn-rex", "--k", "5", "--l", "100000000000000000",
-      "--in", "{ring}"], 1, "error: Unable to allocate"),
+      "--in", "{ring}"], 1, "error: [Errno 28] No space left on device"),
     (["evaluate", "--a", "{ring}", "--b", "{ring}", "--bins", "100000000000000000"], 1,
      "error: Unable to allocate"),
     (["validate-asymptotics", "--density", "linear", "--slope", "inf", "--samples", "100"], 1,
@@ -568,7 +636,7 @@ MALFORMED = [
     # sizes past what numpy can address: a usage error above 2**63 - 1, and
     # below it the one-line error of a size no memory can hold
     (["synthesize", "--method", "knn-rex", "--k", "5", "--l", "1000000000000000000",
-      "--in", "{ring}"], 1, "error: Unable to allocate"),
+      "--in", "{ring}"], 1, "error: [Errno 28] No space left on device"),
     (["synthesize", "--method", "knn-rex", "--l", "10000000000000000000", "--in", "{missing}"], 2,
      "--l: must be <= 9223372036854775807, got 10000000000000000000"),
     (["synthesize-corrected", "--marginals", "{total_1e18}", "--total", "1000000000000000000",
@@ -585,6 +653,18 @@ MALFORMED = [
      "--dim: must be <= 9223372036854775807"),
     (["validate-asymptotics", "--samples", "10000000000000000000"], 2,
      "--samples: must be <= 9223372036854775807"),
+    # sizes within 2**63 - 1 that no array numpy can address holds, refused
+    # before anything is allocated
+    (["evaluate", "--a", "{ring}", "--b", "{ring}", "--bins", "4611686018427387904"], 1,
+     "error: Unable to allocate an array with shape (4611686018427387905,)"),
+    (["evaluate", "--a", "{ring}", "--b", "{ring}", "--bins", "9223372036854775807"], 1,
+     "error: Unable to allocate an array with shape (9223372036854775808,)"),
+    (["icv", "--method", "knn-rex", "--k", "5", "--folds", "2", "--bins", "9223372036854775807",
+      "--in", "{ring}"], 1, "error: Unable to allocate an array with shape (9223372036854775808,)"),
+    (["gen-data", "--dataset", "swissroll", "--n", "9223372036854775807"], 1,
+     "error: Unable to allocate an array with shape (9223372036854775807, 3)"),
+    (["validate-asymptotics", "--dim", "4611686018427387904"], 1,
+     "error: Unable to allocate an array with shape (4611686018427387904,)"),
 ]
 
 

@@ -89,3 +89,12 @@ def test_ring_and_gmm_reproducible():
     assert np.array_equal(
         gen_gmm(spec, 50, np.random.default_rng(9)), gen_gmm(spec, 50, np.random.default_rng(9))
     )
+
+
+@pytest.mark.parametrize("n", [2**62, 2**63 - 1])
+def test_generators_refuse_sizes_numpy_cannot_address(n):
+    rng = np.random.default_rng(0)
+    spec = GmmSpec(weights=[1.0], means=[[0.0]], covs=[[[1.0]]])
+    for generate, d in ((gen_swiss_roll, 3), (gen_ring, 2), (lambda n, rng: gen_gmm(spec, n, rng), 1)):
+        with pytest.raises(MemoryError, match=rf"^Unable to allocate an array with shape \({n}, {d}\)"):
+            generate(n, rng)

@@ -1,13 +1,17 @@
 import csv
+import errno
 import os
 import re
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knnrex import BadSpec, CsvFormatError, InconsistentMarginals, PointSet
+from knnrex import BadSpec, CsvFormatError, InconsistentMarginals, PointSet, PointStream
 from knnrex import dataio
 from knnrex.dataio import (
     WRITE_BLOCK_ROWS,
@@ -82,44 +86,142 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("fails_in", ["child", "parent"])
+# A formatter process that exits 1 once it has read the header of its first block.
+FAILING_FORMATTER = "import sys; sys.stdin.buffer.read(8); sys.exit(1)"
+
+
+@pytest.mark.parametrize("fails_in", ["child", "parent", "interrupt"])
 def test_write_error_reaps_the_child(tmp_path, monkeypatch, fails_in):
-    """A child that fails makes the write raise OSError naming the path. An
-    error in the parent propagates without a hang although the child may
-    still be formatting or blocked on a full pipe: the child is killed."""
+    """A formatter process that fails makes the write raise OSError naming
+    the path. An error or an interrupt in this process propagates without a
+    hang although the formatter may still be formatting or blocked on a full
+    pipe: the formatter is killed."""
     monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 1000)
-    parent = os.getpid()
-    format_block = dataio._format_block
-
-    def format_or_fail(line, block):
-        if (os.getpid() == parent) == (fails_in == "parent"):
-            raise ValueError("formatting failed")
-        return format_block(line, block)
-
-    monkeypatch.setattr(dataio, "_format_block", format_or_fail)
     path = tmp_path / "out.csv"
     if fails_in == "child":
+        monkeypatch.setattr(dataio, "_FORMATTER", FAILING_FORMATTER)
         error, message = OSError, f"^{re.escape(str(path))}: .*status 1$"
     else:
-        error, message = ValueError, "^formatting failed$"
+        error = ValueError if fails_in == "parent" else KeyboardInterrupt
+        message = "^formatting failed$"
+
+        def format_or_fail(line, block):
+            raise error("formatting failed")
+
+        monkeypatch.setattr(dataio, "_format_block", format_or_fail)
     with pytest.raises(error, match=message):
         write_points_csv(path, PointSet(_values(200_000, 2, np.float64, seed=4)))
     _assert_no_child_left()
     assert not path.exists()
 
 
-@pytest.mark.parametrize("fork", ["raises", "missing"])
-def test_write_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, fork):
-    def refuse():
-        raise OSError("fork refused")
+@pytest.mark.parametrize("start", ["raises", "missing"])
+def test_write_without_fork_writes_the_same_bytes(tmp_path, monkeypatch, start):
+    """Where the formatter process cannot start (the spawn raises, or there
+    is no interpreter to run it), this process formats every block."""
+
+    def refuse(*args, **kwargs):
+        raise OSError("spawn refused")
 
     monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 7)
-    if fork == "raises":
-        monkeypatch.setattr(os, "fork", refuse)
+    if start == "raises":
+        monkeypatch.setattr(subprocess, "Popen", refuse)
     else:
-        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(sys, "executable", "")
     _assert_same_bytes(tmp_path, _values(3 * 7 + 2, 3, np.float64, seed=5))
     _assert_no_child_left()
+
+
+def test_write_past_one_block_formats_in_one_reaped_process(tmp_path, monkeypatch):
+    """The formatter starts only past one block, once per write, and is
+    reaped when the write returns."""
+    started = []
+    popen = subprocess.Popen
+
+    def spawn(*args, **kwargs):
+        started.append(args[0][:4])
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", spawn)
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 7)
+    _assert_same_bytes(tmp_path, _values(7, 2, np.float64, seed=6))
+    assert started == []
+    _assert_same_bytes(tmp_path, _values(4 * 7 + 3, 2, np.float64, seed=7))
+    assert started == [[sys.executable, "-I", "-S", "-c"]]
+    _assert_no_child_left()
+
+
+def test_write_while_the_formatter_lags_writes_the_same_bytes(tmp_path, monkeypatch):
+    """A formatter that answers late leaves this process to format the blocks
+    after the one it holds, up to the lookahead, and then to wait for it."""
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 7)
+    monkeypatch.setattr(dataio, "_FORMATTER", "import time\ntime.sleep(0.5)\n" + dataio._FORMATTER)
+    formatted = []
+    format_block = dataio._format_block
+
+    def counting(line, block):
+        formatted.append(block.shape[0])
+        return format_block(line, block)
+
+    monkeypatch.setattr(dataio, "_format_block", counting)
+    values = _values(50, 3, np.float64, seed=9)
+    write_points_csv(tmp_path / "stream.csv", PointSet(_stream(values, 5)))
+    reference_write_points_csv(tmp_path / "ref.csv", PointSet(values))
+    assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert formatted[: dataio._LOOKAHEAD] == [5] * dataio._LOOKAHEAD and 0 < len(formatted) < 10
+    _assert_no_child_left()
+
+
+def _stream(values, rows):
+    """``values`` as a PointStream of ``rows``-row blocks."""
+    blocks = (values[start : start + rows] for start in range(0, values.shape[0], rows))
+    return PointStream(values.shape, blocks)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 29, 30])
+def test_write_of_a_stream_matches_the_array(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 7)
+    values = _values(n, 3, np.float64, seed=n)
+    write_points_csv(tmp_path / "stream.csv", PointSet(_stream(values, 3), ["a", "b", "c"]))
+    reference_write_points_csv(tmp_path / "ref.csv", PointSet(values, ["a", "b", "c"]))
+    assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_of_a_failing_stream_leaves_no_file_and_no_child(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "WRITE_BLOCK_ROWS", 7)
+    values = _values(30, 2, np.float64, seed=8)
+
+    def blocks():
+        yield from (values[:3], values[3:6], values[6:9])
+        raise ValueError("draw failed")
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="^draw failed$"):
+        write_points_csv(path, PointSet(PointStream(values.shape, blocks())))
+    _assert_no_child_left()
+    assert not path.exists()
+
+
+def test_write_refuses_rows_the_disk_cannot_hold(tmp_path, monkeypatch):
+    """At least 4 bytes a value ("0.0" and a separator) must fit in the free
+    space, plus what an overwritten file holds; nothing is opened otherwise."""
+    usage = shutil.disk_usage(tmp_path)
+    values = np.zeros((10, 3))  # 10 rows of "0.0,0.0,0.0\n": exactly 4 bytes a value
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=119))
+    path = tmp_path / "out.csv"
+    with pytest.raises(OSError, match=r"No space left on device: 10 rows of 3 values need at least "
+                       r"120 bytes, 119 are free: '.*out\.csv'$") as failed:
+        write_points_csv(path, PointSet(values))
+    assert failed.value.errno == errno.ENOSPC and failed.value.filename == str(path)
+    assert not path.exists()
+    path.write_bytes(b"x")  # its byte is freed when the file is truncated
+    write_points_csv(path, PointSet(values))
+    assert path.read_text() == "x1,x2,x3\n" + "0.0,0.0,0.0\n" * 10
+
+
+def test_write_to_a_device_is_not_checked_for_space(monkeypatch):
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: pytest.fail("checked a device"))
+    write_points_csv(os.devnull, PointSet(np.zeros((10, 3))))
 
 
 def test_write_quotes_column_names_like_csv(tmp_path):

@@ -541,3 +541,28 @@ def test_phases_add_up_blocks_and_keep_counts_in_order():
     phases.counts["alpha"] = 1
     assert list(phases.counts.items()) == [("zeta", 2), ("alpha", 1)]
     assert phases.total() >= sum(phases.seconds.values())
+
+
+def test_nested_phases_count_for_the_inner_phase_only():
+    phases = Phases()
+    with phases.measure("write"):
+        time.sleep(0.002)
+        for _ in range(2):
+            with phases.measure("synthesis"):
+                time.sleep(0.004)
+        with pytest.raises(KeyError), phases.measure("synthesis"):  # a block that raises still counts
+            {}["missing"]
+    total = phases.total()
+    write, synthesis = phases.seconds["write"], phases.seconds["synthesis"]
+    assert synthesis >= 0.008 and 0.002 <= write < 0.008
+    assert write + synthesis <= total
+    with phases.measure("write"):  # the inner seconds were taken off the block they ran in only
+        pass
+    assert phases.seconds["write"] - write < 0.002 and phases.seconds["synthesis"] == synthesis
+
+
+def test_make_binning_refuses_edges_numpy_cannot_address():
+    data = np.array([[0.0], [1.0]])
+    for bins in (2**62, 2**63 - 1):
+        with pytest.raises(MemoryError, match=rf"^Unable to allocate an array with shape \({bins + 1},\)"):
+            make_binning(data, bins)
