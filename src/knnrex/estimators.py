@@ -16,20 +16,27 @@ Plus ``km_fit``/``km_synth``: the likelihood-optimized crossover-kernel
 baseline that hill-climbs the choice of L fixed kernel construction sets,
 and ``suggest_params``, the optimization-free parameter rule.
 
-``synthesis_stream(cfg, X, l, rng)`` is the only code that maps an
-``EstimatorConfig`` to its synthesizer. It takes the sample in its own
-units and gives a ``PointStream``: the l points as blocks of rows, each
-drawn, and mapped back to the sample's units, only when it is asked for,
-so a consumer such as the CLI's CSV writer never holds the (l, d)
-population. ``synthesize(cfg, X, l, rng)``, which inverted
-cross-validation calls, is the array of the same blocks. These and
-``synth_bias_corrected`` each own their whitening and k-NN index, and time
-the "whiten", "index" and "synthesis" phases through an optional
-``measure(name)`` factory; a stream times each block it draws as
-"synthesis", inside whatever phase its consumer runs. Every method shares
-one chunk loop: chunk i of ``DEFAULT_CHUNK`` points draws only from the
-i-th child stream spawned from the caller's generator, so a seed pins the
-output exactly, whether it is drawn as a stream or as an array.
+``synthesis_stream(cfg, X, l, rng)`` runs the method an ``EstimatorConfig``
+names on the sample in its own units and gives a ``PointStream``: the l
+points as blocks of rows, each drawn, and mapped back to the sample's
+units, only when it is asked for, so a consumer such as the CLI's CSV
+writer never holds the (l, d) population. ``synthesize(cfg, X, l, rng)``,
+which inverted cross-validation calls, is the array of the same blocks.
+
+Each decision the synthesizers share is made in one function.
+``EstimatorConfig.reads_index`` says whether a method draws from a k-NN
+index. ``_whitened`` whitens the sample and builds that index, as the
+"whiten" and "index" phases of an optional ``measure(name)`` factory, for
+``synthesis_stream`` and ``synth_bias_corrected``. ``_draw`` maps a config
+to its draw, for ``synthesis_stream`` and for ``synth_knn_rex``,
+``synth_fixed_gaussian`` and ``synth_bmp``, which draw on the sample as
+given. ``_rex_seeded`` takes the REX draws seeded at sample points, for the
+k-NN REX draw and for the bias-corrected proposals seeded in a bin's
+sample points. A stream times each block it draws as "synthesis", inside
+whatever phase its consumer runs. Every method shares one chunk loop:
+chunk i of ``DEFAULT_CHUNK`` points draws only from the i-th child stream
+spawned from the caller's generator, so a seed pins the output exactly,
+whether it is drawn as a stream or as an array.
 """
 
 import math
@@ -114,18 +121,27 @@ class EstimatorConfig:
             if self.stall_limit < 1:
                 raise BadParams(f"need stall_limit >= 1, got {self.stall_limit}")
 
+    @property
+    def reads_index(self) -> bool:
+        """Whether the method draws from a k-NN index of the sample."""
+        return self.method == "bmp" or (self.method == "knn_rex" and self.m > 1)
+
 
 class PointStream:
     """``shape[0]`` points of dimension ``shape[1]``, as one pass over
     (s, d) float64 blocks in row order; a block is drawn when it is asked
-    for, so the stream can be iterated once."""
+    for, so the stream can be iterated once, and a second ``iter`` raises
+    RuntimeError."""
 
     def __init__(self, shape: tuple, blocks):
         self.shape = shape
         self._blocks = blocks
 
     def __iter__(self):
-        return self._blocks
+        if self._blocks is None:
+            raise RuntimeError("a PointStream can be iterated only once")
+        blocks, self._blocks = self._blocks, None
+        return blocks
 
 
 def synthesize(
@@ -158,23 +174,9 @@ def synthesis_stream(
     """
     cfg.validate()
     X = _sample(X)
-    with measure("whiten"):
-        transform = whiten_fit(X)
-        X_w = whiten_apply(transform, X)
-    index = None
-    if cfg.method == "bmp" or (cfg.method == "knn_rex" and cfg.m > 1):
-        with measure("index"):
-            index = build_knn(X_w, cfg.k)
+    transform, X_w, index = _whitened(cfg, X, measure)
     with measure("synthesis"):
-        if cfg.method == "knn_rex":
-            draw = _rex_draw(X_w, cfg.m, index)
-        elif cfg.method == "fixed_gaussian":
-            draw = _gaussian_draw(X_w, np.full(X_w.shape[0], cfg.h, dtype=np.float64))
-        elif cfg.method == "bmp":
-            draw = _gaussian_draw(X_w, cfg.h * index.dists[:, cfg.k - 1])
-        else:
-            model = km_fit(X_w, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit)
-            draw = _km_draw(model, X_w)
+        draw = _draw(cfg, X_w, index, rng)
 
     def mapped(size, crng):
         with measure("synthesis"):
@@ -186,6 +188,46 @@ def synthesis_stream(
             return whiten_invert(transform, Y_w)
 
     return _stream(l, X.shape[1], rng, mapped)
+
+
+def _whitened(cfg: EstimatorConfig, X: np.ndarray, measure):
+    """The whitening of X, X in whitened units and, where the method of
+    ``cfg`` reads one, their k-NN index (else None), built as the phases
+    "whiten" and "index" of ``measure(name)``."""
+    with measure("whiten"):
+        transform = whiten_fit(X)
+        X_w = whiten_apply(transform, X)
+    if not cfg.reads_index:
+        return transform, X_w, None
+    with measure("index"):
+        return transform, X_w, build_knn(X_w, cfg.k)
+
+
+def _draw(cfg: EstimatorConfig, X: np.ndarray, index, rng: np.random.Generator):
+    """``draw(size, rng)`` of the method of ``cfg`` on X, with ``index`` of X
+    where the method reads one; km's sets are fitted here, from ``rng``."""
+    if cfg.method == "knn_rex":
+        return _rex_draw(X, cfg.m, index)
+    if cfg.method == "fixed_gaussian":
+        return _gaussian_draw(X, np.full(X.shape[0], cfg.h, dtype=np.float64))
+    if cfg.method == "bmp":
+        return _gaussian_draw(X, cfg.h * index.dists[:, cfg.k - 1])
+    return _km_draw(km_fit(X, cfg.L, cfg.m, rng, stall_limit=cfg.stall_limit), X)
+
+
+def _synth_raw(cfg: EstimatorConfig, X: np.ndarray, l: int, rng: np.random.Generator, index=None):
+    """l points by the method of ``cfg`` drawn on the sample X as given, not
+    whitened, as one (l, d) array. Where the method reads an index, a
+    prebuilt ``index`` of X must hold ``cfg.k`` neighbors per point (else
+    BadParams); None builds one."""
+    X = _sample(X)
+    cfg.validate()
+    if cfg.reads_index:
+        if index is None:
+            index = build_knn(X, cfg.k)
+        elif index.ids.shape != (X.shape[0], cfg.k):
+            raise BadParams(f"prebuilt index has shape {index.ids.shape}, need {(X.shape[0], cfg.k)}")
+    return _fill(_stream(l, X.shape[1], rng, _draw(cfg, X, index, rng)))
 
 
 def _empty_points(l: int, d: int) -> np.ndarray:
@@ -233,11 +275,7 @@ def synth_knn_rex(
     prebuilt ``index`` of X with k neighbors per point may be passed; one
     of any other shape raises BadParams.
     """
-    X = _sample(X)
-    EstimatorConfig("knn_rex", k=k, m=m).validate()
-    if m > 1:
-        index = _index(X, k, index)
-    return _fill(_stream(l, X.shape[1], rng, _rex_draw(X, m, index)))
+    return _synth_raw(EstimatorConfig("knn_rex", k=k, m=m), X, l, rng, index)
 
 
 def _rex_draw(X, m, index):
@@ -246,21 +284,16 @@ def _rex_draw(X, m, index):
 
     def draw(size, crng):
         seeds = crng.integers(0, n, size=size)
-        if m == 1:
-            return X[seeds]
-        picks = _pick_neighbors(index.ids, m, crng, rows=seeds)
-        return rex_batch(X[np.column_stack((seeds, picks))], crng)
+        return X[seeds] if m == 1 else _rex_seeded(X, seeds, m, index, crng)
 
     return draw
 
 
-def _index(X, k, index):
-    """``index``, checked to hold k neighbors per point of X, or a new one."""
-    if index is None:
-        return build_knn(X, k)
-    if index.ids.shape != (X.shape[0], k):
-        raise BadParams(f"prebuilt index has shape {index.ids.shape}, need {(X.shape[0], k)}")
-    return index
+def _rex_seeded(X, seeds, m, index, rng):
+    """One REX draw per id in ``seeds``: from the KCS of that point of X and
+    m-1 of its neighbors in ``index``, as an (s, d) array."""
+    picks = _pick_neighbors(index.ids, m, rng, rows=seeds)
+    return rex_batch(X[np.column_stack((seeds, picks))], rng)
 
 
 def _pick_neighbors(neighbors: np.ndarray, m: int, rng: np.random.Generator, rows=None) -> np.ndarray:
@@ -309,9 +342,7 @@ def synth_fixed_gaussian(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Synthesize l points from the fixed scalar-bandwidth Gaussian mixture."""
-    X = _sample(X)
-    EstimatorConfig("fixed_gaussian", h=h).validate()
-    return _fill(_stream(l, X.shape[1], rng, _gaussian_draw(X, np.full(X.shape[0], h, dtype=np.float64))))
+    return _synth_raw(EstimatorConfig("fixed_gaussian", h=h), X, l, rng)
 
 
 def synth_bmp(
@@ -323,10 +354,7 @@ def synth_bmp(
     index=None,
 ) -> np.ndarray:
     """Synthesize l points with per-point bandwidth h * delta_ik."""
-    X = _sample(X)
-    EstimatorConfig("bmp", k=k, h=h).validate()
-    index = _index(X, k, index)
-    return _fill(_stream(l, X.shape[1], rng, _gaussian_draw(X, h * index.dists[:, k - 1])))
+    return _synth_raw(EstimatorConfig("bmp", k=k, h=h), X, l, rng, index)
 
 
 def suggest_params(d_intrinsic: int, n: int | None = None) -> tuple[int, int]:
@@ -499,17 +527,14 @@ def synth_bias_corrected(
     same counters plus the per-variable deficits.
     """
     X, var_cols, sample_bins = check_corrected(X, marginals, k, m, columns)
-    n, d = X.shape
+    d = X.shape[1]
     l = marginals.total
     tally = dict.fromkeys(CORRECTED_COUNTERS, 0)
 
-    needs_kernel = m > 1 and l > 0
+    cfg = EstimatorConfig("knn_rex", k=k, m=m)
+    needs_kernel = cfg.reads_index and l > 0
     if needs_kernel:
-        with measure("whiten"):
-            transform = whiten_fit(X)
-            Xw = whiten_apply(transform, X)
-        with measure("index"):
-            index = build_knn(Xw, k)
+        transform, Xw, index = _whitened(cfg, X, measure)
     with measure("synthesis"):
         mins = X.min(axis=0)
         spans = X.max(axis=0) - mins
@@ -529,10 +554,9 @@ def synth_bias_corrected(
             tally["proposals"] += size
             pool = pools[f]
             if pool.size > 0:
-                seed_ids = pool[rng.integers(pool.size, size=size)]
-                Y = X[seed_ids]
-                if needs_kernel:
-                    seeds_w, neighbors, rows = Xw[seed_ids], index.ids, seed_ids
+                seeds = pool[rng.integers(pool.size, size=size)]
+                Y = (whiten_invert(transform, _rex_seeded(Xw, seeds, m, index, rng))
+                     if needs_kernel else X[seeds])
             else:
                 tally["uniform_seeds"] += size
                 Y = mins + spans * rng.random((size, d))
@@ -540,12 +564,10 @@ def synth_bias_corrected(
                 if needs_kernel:
                     seeds_w = whiten_apply(transform, Y)
                     neighbors, _ = query_neighbors(Xw, seeds_w, k)
-                    rows = None
-            if needs_kernel:
-                kcs = np.empty((size, m, d))
-                kcs[:, 0] = seeds_w
-                kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng, rows)]
-                Y = whiten_invert(transform, rex_batch(kcs, rng))
+                    kcs = np.empty((size, m, d))
+                    kcs[:, 0] = seeds_w
+                    kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng)]
+                    Y = whiten_invert(transform, rex_batch(kcs, rng))
             if round_integers:
                 Y = _round_half_away(Y)
             bins = np.column_stack([marginals.bin_of(v, Y[:, col]) for v, col in enumerate(var_cols)])
@@ -694,8 +716,12 @@ def km_fit(
     if n < m:
         raise BadParams(f"need n >= m, got n = {n}, m = {m}")
 
-    kcss = np.stack([rng.permutation(n)[:m] for _ in range(L)])
-    log_kernel = np.stack([_kcs_column(X, X[ids]) for ids in kcss], axis=1)
+    check_addressable((n, L))  # the larger of the two arrays, as n >= m
+    kcss = np.empty((L, m), dtype=np.int64)
+    log_kernel = np.empty((n, L))
+    for j in range(L):  # the column takes no draws: the stream is the L permutations
+        kcss[j] = rng.permutation(n)[:m]
+        log_kernel[:, j] = _kcs_column(X, X[kcss[j]])
     loglik = _mixture_loglik(log_kernel)
     history = [loglik]
     stall = 0

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -325,8 +326,9 @@ def test_synthesize_peak_memory_does_not_grow_with_l(tmp_path):
 BASELINE_CPU = "AVX512_ICL AVX512_SPR X86_V4 X86_V3"
 
 
-@pytest.mark.parametrize("m", [3, 4])
-def test_synthesize_writes_the_same_bytes_without_dispatched_cpu_features(tmp_path, m):
+def _outputs_with_and_without_dispatched_cpu_features(tmp_path, argv):
+    """The outputs of ``knnrex *argv`` on a 300-point ring, run with numpy's
+    dispatched CPU features and with ``BASELINE_CPU`` disabled."""
     train = tmp_path / "train.csv"
     assert run_cli(["gen-data", "--dataset", "ring", "--n", "300", "--seed", "0",
                     "--out", str(train)]) == 0
@@ -334,13 +336,35 @@ def test_synthesize_writes_the_same_bytes_without_dispatched_cpu_features(tmp_pa
     for features in ("", BASELINE_CPU):
         out = tmp_path / f"pop{len(outputs)}.csv"
         env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=features)
-        run = _cli("-m", "knnrex.cli", "synthesize", "--method", "knn-rex", "--k", "15", "--m", str(m),
-                   "--l", "20000", "--seed", "3", "--in", str(train), "--out", str(out), env=env)
+        run = _cli("-m", "knnrex.cli", *argv, "--in", str(train), "--out", str(out), env=env)
         if run.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in run.stderr:
             pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}")
         assert run.returncode == 0, run.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        outputs.append(out)
+    return outputs
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_synthesize_writes_the_same_bytes_without_dispatched_cpu_features(tmp_path, m):
+    a, b = _outputs_with_and_without_dispatched_cpu_features(
+        tmp_path, ["synthesize", "--method", "knn-rex", "--k", "15", "--m", str(m), "--l", "20000",
+                   "--seed", "3"])
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_synthesize_corrected_writes_the_same_bytes_without_dispatched_cpu_features(tmp_path, m):
+    # x1's top bin lies past the ring, so it is seeded by the uniform branch
+    marginals = tmp_path / "marginals.csv"
+    marginals.write_text("variable,lo,hi,freq\nx1,-1.5,0,1000\nx1,0,1.25,995\nx1,1.25,1.5,5\n"
+                         "x2,-1.5,0,1000\nx2,0,1.5,1000\n")
+    a, b = _outputs_with_and_without_dispatched_cpu_features(
+        tmp_path, ["synthesize-corrected", "--k", "15", "--m", str(m), "--seed", "3", "--total", "2000",
+                   "--marginals", str(marginals)])
+    assert a.read_bytes() == b.read_bytes()
+    for out in (a, b):
+        manifest = pathlib.Path(f"{out}.manifest.txt").read_text()
+        assert re.search(r"^count_uniform_seeds: [1-9][0-9]*$", manifest, re.M), manifest
 
 
 def test_non_finite_input_exit_1(tmp_path, capsys):
@@ -665,6 +689,8 @@ MALFORMED = [
      "error: Unable to allocate an array with shape (9223372036854775807, 3)"),
     (["validate-asymptotics", "--dim", "4611686018427387904"], 1,
      "error: Unable to allocate an array with shape (4611686018427387904,)"),
+    (["synthesize", "--method", "km", "--m", "3", "--L", "4611686018427387904", "--l", "5",
+      "--in", "{ring}"], 1, "error: Unable to allocate an array with shape (40, 4611686018427387904)"),
 ]
 
 

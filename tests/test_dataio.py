@@ -202,6 +202,15 @@ def test_write_of_a_failing_stream_leaves_no_file_and_no_child(tmp_path, monkeyp
     assert not path.exists()
 
 
+def test_write_of_a_consumed_stream_raises_and_leaves_no_file(tmp_path):
+    stream = _stream(_values(5, 2, np.float64, seed=3), 2)
+    write_points_csv(tmp_path / "first.csv", PointSet(stream))
+    path = tmp_path / "again.csv"
+    with pytest.raises(RuntimeError, match="^a PointStream can be iterated only once$"):
+        write_points_csv(path, PointSet(stream))
+    assert not path.exists()
+
+
 def test_write_refuses_rows_the_disk_cannot_hold(tmp_path, monkeypatch):
     """At least 4 bytes a value ("0.0" and a separator) must fit in the free
     space, plus what an overwritten file holds; nothing is opened otherwise."""

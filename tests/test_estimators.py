@@ -302,7 +302,9 @@ def reference_knn_rex(X, k, m, l, rng, chunk_size=DEFAULT_CHUNK):
             picks = neighbors[np.arange(size), cols][:, np.newaxis]
         else:
             scores = crng.random((size, k))
-            pos = np.argpartition(scores, m - 1, axis=1)[:, : m - 1]
+            # the m-1 smallest scores in ascending order, the order of the
+            # REX fold; a stable sort fixes it on every CPU
+            pos = np.argsort(scores, axis=1, kind="stable")[:, : m - 1]
             picks = np.take_along_axis(neighbors, pos, axis=1)
         kcs = np.concatenate([X[seeds][:, np.newaxis, :], X[picks]], axis=1)
         mu = kcs.mean(axis=1)
