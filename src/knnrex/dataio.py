@@ -34,7 +34,7 @@ from .estimators import MarginalSpec, PointStream, default_columns
 # blocks. An output of more rows than this is formatted on two cores. A
 # block's field list and text take about 3.5 MB per column at their peak
 # (11 MB at d = 3), whatever the population size: on the order of the k-NN
-# build's 16 MiB chunk budget.
+# build's 8 MiB chunk budget.
 WRITE_BLOCK_ROWS = 65_536
 
 # Blocks this process formats while the formatter holds an earlier one, at

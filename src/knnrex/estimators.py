@@ -40,6 +40,7 @@ whether it is drawn as a stream or as an array.
 """
 
 import math
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -494,8 +495,11 @@ def synth_bias_corrected(
     ``offsets[v] .. offsets[v+1]-1`` in bin order. One list holds the
     vacancy (target minus count) of every flat id, and the most vacant bin
     is its first maximum in flat order, so ties go to the earlier variable,
-    then the lower bin. Each bin keeps its members in a list with
-    swap-removal, and an eviction picks a uniform position in that list.
+    then the lower bin. Each bin keeps the keys of its members in an
+    ``array("q")`` with swap-removal, and an eviction picks a uniform
+    position in it. A placed point's flat ids and its positions in their
+    member arrays are entries of two flat int64 arrays, one row of entries
+    per point key, so the ledger costs a few machine words per point.
 
     Proposals come from one stream per flat id, a generator that draws them
     in batches and yields them one per iteration in draw order. A batch is
@@ -583,15 +587,19 @@ def synth_bias_corrected(
                 size = min(2 * size, RESERVOIR_CAP)
 
         streams = [stream(f) for f in range(n_flat)]
-        members = [[] for _ in range(n_flat)]  # point keys per flat id
-        # Per point key: coordinates (a row of ``points``), flat ids and
-        # position in each of its member lists. An evicted point's key goes on
-        # the free list for the next commit. With the free list empty, keys
-        # 0 .. placed-1 are all live, so the next new key is ``placed``; there
-        # are at most l keys however long the loop runs, and the output is the
-        # live keys in key order.
+        n_vars = len(sizes)
+        members = [array("q") for _ in range(n_flat)]  # point keys per flat id
+        # Per point key: coordinates (a row of ``points``) and, at entry
+        # key * n_vars + v of ``point_ids`` and ``slots``, its flat id on
+        # variable v and its position in that id's member array. An evicted
+        # point's key goes on the free list for the next commit. With the free
+        # list empty, keys 0 .. placed-1 are all live, so the next new key is
+        # ``placed``; there are at most l keys however long the loop runs, and
+        # the output is the live keys in key order.
         points = _empty_points(l, d)
-        point_ids, slots, free = [None] * l, [None] * l, []
+        point_ids = array("q", [0]) * (l * n_vars)
+        slots = array("q", [0]) * (l * n_vars)
+        free = []
         placed = 0
         stall = 0
         best_fill = 0
@@ -604,15 +612,14 @@ def synth_bias_corrected(
                 tally["rejected"] += 1
             else:
                 key = free.pop() if free else placed
-                slot = []
-                for g in ids:
+                row = key * n_vars
+                for v, g in enumerate(ids):
                     vacancy[g] -= 1
                     bucket = members[g]
-                    slot.append(len(bucket))
+                    point_ids[row + v] = g
+                    slots[row + v] = len(bucket)
                     bucket.append(key)
                 points[key] = point
-                point_ids[key] = ids
-                slots[key] = slot
                 placed += 1
                 # Drain any bin the new point overfilled; eviction frees the
                 # victim's bins across all variables, so vacancies only go up.
@@ -620,12 +627,14 @@ def synth_bias_corrected(
                     if vacancy[g] < 0:
                         bucket = members[g]
                         victim = bucket[rng.integers(len(bucket))]
-                        for v, h in enumerate(point_ids[victim]):
+                        row = victim * n_vars
+                        for v in range(n_vars):
+                            h = point_ids[row + v]
                             vacancy[h] += 1
                             last = members[h].pop()
                             if last != victim:
-                                members[h][slots[victim][v]] = last
-                                slots[last][v] = slots[victim][v]
+                                members[h][slots[row + v]] = last
+                                slots[last * n_vars + v] = slots[row + v]
                         free.append(victim)
                         placed -= 1
                         tally["evictions"] += 1

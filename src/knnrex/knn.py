@@ -2,8 +2,8 @@
 
 The build is the O(d n^2) hot path of the whole pipeline. The build and the
 query share one core that works on chunks of query rows, sized so that a
-chunk's temporaries stay within ``_CHUNK_BYTES`` (16 MiB). A build so holds
-this budget plus its (n, k) output; only past n of about 300k at d = 3, where
+chunk's temporaries stay within ``_CHUNK_BYTES`` (8 MiB). A build so holds
+this budget plus its (n, k) output; only past n of about 150k at d = 3, where
 one row alone needs more, does a chunk of one row exceed it. Each row gets
 the same arithmetic at any chunk size, so the budget changes no result.
 A call allocates its difference and squared-distance buffers once, sized
@@ -34,7 +34,21 @@ from .errors import BadParams, KTooLarge
 # the selection. Those are argpartition's int64 ids and, for a row tied at
 # the k boundary, a copy of its distances and their stable argsort; for a
 # query with k = n, the argsort and the gathered and rooted distances.
-_CHUNK_BYTES = 16 << 20
+#
+# Do not go below 8 MiB. glibc's malloc maps a block above its mmap
+# threshold afresh and, when such a block is freed, raises the threshold to
+# its size. The build's difference buffer, the largest block it frees, so
+# sets whether a later draw's ~2 MB per-block temporaries are reused from
+# the heap or mapped and faulted in again. With c09's index (n = 4348,
+# d = 4) that buffer is 4.2 MB at 8 MiB and 2.1 MB at 4 MiB. A 10k draw
+# after the build then took no minor faults at 8 and 16 MiB, but about 1000
+# at 2 and 4 MiB, and at 4 MiB it took 1.5 times as long as at 8 MiB (the
+# median of 10 interleaved rounds on a 2-core Xeon). With
+# MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864 set on the
+# process it took no faults at any budget. c09's 4x synthesis scaling read
+# x3.06-4.00 over 8 runs at 4 MiB, one of them below its floor of 3.2, and
+# x3.56-4.04 over 12 runs at 8 MiB.
+_CHUNK_BYTES = 8 << 20
 
 
 def _row_bytes(n: int, d: int) -> int:
