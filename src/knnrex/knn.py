@@ -47,7 +47,10 @@ from .errors import BadParams, KTooLarge
 # MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864 set on the
 # process it took no faults at any budget. c09's 4x synthesis scaling read
 # x3.06-4.00 over 8 runs at 4 MiB, one of them below its floor of 3.2, and
-# x3.56-4.04 over 12 runs at 8 MiB.
+# x3.56-4.04 over 12 runs at 8 MiB. Inside the CLI the thresholds are
+# set by cli._raise_heap_thresholds before any command runs, not by this
+# buffer; the 8 MiB floor still holds for library callers such as c09,
+# which never run cli.main.
 _CHUNK_BYTES = 8 << 20
 
 
