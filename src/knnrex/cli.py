@@ -23,6 +23,7 @@ from .dataio import PointSet, default_columns, read_marginals_csv, read_points_c
 from .errors import BadParams, BadSpec, KnnRexError, StallLimit, check_addressable
 from .estimators import EstimatorConfig, synth_bias_corrected, synthesis_stream
 from .evaluation import Phases, icv_run, icv_sweep, union_hellinger
+from .knn import raise_heap_thresholds
 
 METHOD_FLAGS = {
     "knn-rex": "knn_rex",
@@ -410,28 +411,8 @@ def build_parser():
     return parser
 
 
-def _raise_heap_thresholds() -> None:
-    """Allocate and free one 4 MiB block, so that glibc's malloc keeps every
-    later block up to that size on its heap.
-
-    glibc maps a block above its mmap threshold (128 KiB at start) afresh
-    and unmaps it when freed; freeing such a block raises the threshold to
-    the block's size and the trim threshold to twice that (mallopt(3)). A
-    draw's per-block temporaries (about 2 MB at k = 30 for 8192 rows) and an
-    icv fold's k-NN and scoring arrays were otherwise mapped and faulted in
-    again on every block, about 500 minor faults per fold of a 100-fold icv,
-    unless a large k-NN build had freed its difference buffer first. 4 MiB
-    is about what such a build frees (see knn._CHUNK_BYTES), so commands
-    that run one start in the heap state they reach anyway. Above k = 64 a
-    block's (8192, k) float64 score array exceeds 4 MiB and is still mapped
-    per block. No arithmetic changes, so no output byte does; under another
-    allocator this is one harmless allocation.
-    """
-    np.empty(4 << 20, dtype=np.uint8)
-
-
 def main(argv=None) -> int:
-    _raise_heap_thresholds()
+    raise_heap_thresholds()
     args = build_parser().parse_args(argv)
     phases = Phases()
     try:

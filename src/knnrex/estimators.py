@@ -57,7 +57,7 @@ from .errors import (
     check_addressable,
 )
 from .kernels import kcs_stats, rex_batch, rex_log_density
-from .knn import build_knn, query_neighbors
+from .knn import build_knn, query_neighbors, usable_cores
 from .whiten import whiten_apply, whiten_fit, whiten_invert
 
 METHODS = ("knn_rex", "fixed_gaussian", "bmp", "km_rex")
@@ -193,15 +193,15 @@ def synthesis_stream(
 
 def _whitened(cfg: EstimatorConfig, X: np.ndarray, measure):
     """The whitening of X, X in whitened units and, where the method of
-    ``cfg`` reads one, their k-NN index (else None), built as the phases
-    "whiten" and "index" of ``measure(name)``."""
+    ``cfg`` reads one, their k-NN index (else None), built on every usable
+    core, as the phases "whiten" and "index" of ``measure(name)``."""
     with measure("whiten"):
         transform = whiten_fit(X)
         X_w = whiten_apply(transform, X)
     if not cfg.reads_index:
         return transform, X_w, None
     with measure("index"):
-        return transform, X_w, build_knn(X_w, cfg.k)
+        return transform, X_w, build_knn(X_w, cfg.k, workers=usable_cores())
 
 
 def _draw(cfg: EstimatorConfig, X: np.ndarray, index, rng: np.random.Generator):

@@ -26,6 +26,7 @@ from .errors import (
     check_addressable,
 )
 from .estimators import EstimatorConfig, synthesize
+from .knn import raise_heap_thresholds
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,10 @@ def icv_sweep(
     The fold split, and so the copying baseline, depends only on the seed:
     the first config with a seed scores its baseline, and later configs with
     that seed reuse it (so their ``fold_seconds`` leave its time out).
+    Small folds build no k-NN buffer large enough to raise glibc's heap
+    thresholds, so this first raises them (``knn.raise_heap_thresholds``).
     """
+    raise_heap_thresholds()
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if folds < 2:

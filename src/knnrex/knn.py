@@ -2,16 +2,25 @@
 
 The build is the O(d n^2) hot path of the whole pipeline. The build and the
 query share one core that works on chunks of query rows, sized so that a
-chunk's temporaries stay within ``_CHUNK_BYTES`` (8 MiB). A build so holds
+call's temporaries stay within ``_CHUNK_BYTES`` (8 MiB). A build so holds
 this budget plus its (n, k) output; only past n of about 150k at d = 3, where
 one row alone needs more, does a chunk of one row exceed it. Each row gets
 the same arithmetic at any chunk size, so the budget changes no result.
 A call allocates its difference and squared-distance buffers once, sized
-for one chunk, and reuses them for every chunk.
+for the budget, and reuses them for every chunk.
 Squared distances are used internally and distance ties are broken by
 ascending point index, so results are deterministic and match a brute-force
 oracle exactly: every row holds the first k entries of a stable sort of its
 distances.
+
+``build_knn(X, k, workers)`` splits a sample that spans more than one chunk
+among up to ``workers`` threads: each takes its own slice of the budget's
+rows in the two buffers and works the chunks round-robin, worker 0 on the
+calling thread. numpy releases the interpreter lock in the arithmetic, the
+selection and the sorts, so the threads overlap; the result is the same
+bytes at any count. The synthesizers pass ``usable_cores()``; a
+``build_knn`` call with its default of one worker, and every query, runs on
+the calling thread alone.
 
 The core selects rather than sorts. ``argpartition`` (introselect, O(n) per
 row) finds k candidates; sorted by id and then stably by distance, they
@@ -22,13 +31,16 @@ falls back to the full stable sort, as does a query with k equal to the
 sample size.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParams, KTooLarge
 
-# Cap, in bytes, on the temporaries of one chunk of _nearest. A query row
+# Cap, in bytes, on the temporaries of one call of _nearest, whose workers
+# split its rows: each worker's chunk is its share. A query row
 # holds 8 bytes per sample point in each of at most d + 4 arrays at once:
 # its d coordinate differences, its squared distances and three arrays of
 # the selection. Those are argpartition's int64 ids and, for a row tied at
@@ -47,11 +59,43 @@ from .errors import BadParams, KTooLarge
 # MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864 set on the
 # process it took no faults at any budget. c09's 4x synthesis scaling read
 # x3.06-4.00 over 8 runs at 4 MiB, one of them below its floor of 3.2, and
-# x3.56-4.04 over 12 runs at 8 MiB. Inside the CLI the thresholds are
-# set by cli._raise_heap_thresholds before any command runs, not by this
-# buffer; the 8 MiB floor still holds for library callers such as c09,
-# which never run cli.main.
+# x3.56-4.04 over 12 runs at 8 MiB. The workers share one buffer of the
+# budget's size, so the block a build frees, and with it the rule above, is
+# the same at any worker count. Inside the CLI and icv_sweep the thresholds
+# are set by raise_heap_thresholds before any work, not by this buffer; the
+# 8 MiB floor still holds for other library callers such as c09, which call
+# build_knn with its default of one worker.
 _CHUNK_BYTES = 8 << 20
+
+
+def usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    reports one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux and a few others
+        return os.cpu_count() or 1
+
+
+def raise_heap_thresholds() -> None:
+    """Allocate and free one 4 MiB block, so that glibc's malloc keeps every
+    later block up to that size on its heap.
+
+    glibc maps a block above its mmap threshold (128 KiB at start) afresh
+    and unmaps it when freed; freeing such a block raises the threshold to
+    the block's size and the trim threshold to twice that (mallopt(3)). A
+    draw's per-block temporaries (about 2 MB at k = 30 for 8192 rows) and an
+    icv fold's k-NN and scoring arrays were otherwise mapped and faulted in
+    again on every block, about 500 minor faults per fold of a 100-fold icv,
+    unless a large k-NN build had freed its difference buffer first. 4 MiB
+    is about what such a build frees (see _CHUNK_BYTES), so callers that run
+    one start in the heap state they reach anyway. ``cli.main`` and
+    ``evaluation.icv_sweep`` call this first. Above k = 64 a block's
+    (8192, k) float64 score array exceeds 4 MiB and is still mapped per
+    block. No arithmetic changes, so no output byte does; under another
+    allocator this is one harmless allocation.
+    """
+    np.empty(4 << 20, dtype=np.uint8)
 
 
 def _row_bytes(n: int, d: int) -> int:
@@ -84,39 +128,59 @@ def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def _nearest(X: np.ndarray, Q: np.ndarray, k: int, exclude_self: bool):
+def _nearest(X: np.ndarray, Q: np.ndarray, k: int, exclude_self: bool, workers: int = 1):
     """(ids, dists) of the k nearest rows of X to each row of Q. With
-    ``exclude_self``, Q is X and row i never lists point i."""
+    ``exclude_self``, Q is X and row i never lists point i. Where Q spans
+    more than one chunk, up to ``workers`` threads each take a slice of the
+    chunk budget's rows and the chunks round-robin; worker 0 is the calling
+    thread."""
     n, d = X.shape
-    ids = np.empty((Q.shape[0], k), dtype=np.int64)
-    dists = np.empty((Q.shape[0], k), dtype=np.float64)
-    chunk = max(1, min(_CHUNK_BYTES // _row_bytes(n, d), Q.shape[0]))
+    rows = Q.shape[0]
+    ids = np.empty((rows, k), dtype=np.int64)
+    dists = np.empty((rows, k), dtype=np.float64)
+    budget = max(1, min(_CHUNK_BYTES // _row_bytes(n, d), rows))
+    workers = max(1, min(workers, budget, -(-rows // budget)))
+    chunk = budget // workers
     # The two largest temporaries are allocated once per call and every chunk
     # writes into them. A fresh pair per chunk let the allocator return their
     # pages to the kernel and fault them in again, thousands of pages a call.
-    diff_buf = np.empty((chunk, n, d))
-    d2_buf = np.empty((chunk, n))
-    for start in range(0, Q.shape[0], chunk):
-        stop = min(start + chunk, Q.shape[0])
-        diff = np.subtract(Q[start:stop, np.newaxis, :], X[np.newaxis, :, :], out=diff_buf[: stop - start])
-        d2 = np.einsum("ijk,ijk->ij", diff, diff, out=d2_buf[: stop - start])
-        if exclude_self:
-            d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = _k_smallest(d2, k)
-        ids[start:stop] = order
-        dists[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+    diff_buf = np.empty((budget, n, d))
+    d2_buf = np.empty((budget, n))
+
+    def work(worker):
+        diff_rows = diff_buf[worker * chunk : (worker + 1) * chunk]
+        d2_rows = d2_buf[worker * chunk : (worker + 1) * chunk]
+        for start in range(worker * chunk, rows, workers * chunk):
+            stop = min(start + chunk, rows)
+            diff = np.subtract(Q[start:stop, np.newaxis, :], X[np.newaxis, :, :], out=diff_rows[: stop - start])
+            d2 = np.einsum("ijk,ijk->ij", diff, diff, out=d2_rows[: stop - start])
+            if exclude_self:
+                d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+            order = _k_smallest(d2, k)
+            ids[start:stop] = order
+            dists[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+
+    if workers == 1:
+        work(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            others = [pool.submit(work, worker) for worker in range(1, workers)]
+            work(0)
+            for other in others:
+                other.result()
     return ids, dists
 
 
-def build_knn(X: np.ndarray, k: int) -> KnnIndex:
-    """Compute the exact k nearest neighbors of every row of X (self excluded)."""
+def build_knn(X: np.ndarray, k: int, workers: int = 1) -> KnnIndex:
+    """Compute the exact k nearest neighbors of every row of X (self excluded),
+    on up to ``workers`` threads; the result is the same at any count."""
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
     if k > n - 1:
         raise KTooLarge(f"k = {k} but only {n - 1} other points exist")
-    ids, dists = _nearest(X, X, k, exclude_self=True)
+    ids, dists = _nearest(X, X, k, exclude_self=True, workers=workers)
     return KnnIndex(k=k, ids=ids, dists=dists)
 
 

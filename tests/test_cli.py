@@ -231,6 +231,38 @@ def test_synthesize_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+# Runs the CLI pinned to one of the CPUs this process may use; os.sched_setaffinity
+# acts on this process only.
+ONE_CPU = """
+import os, sys
+import knnrex.cli
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.exit(knnrex.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_synthesis_is_byte_identical_on_one_usable_cpu(tmp_path):
+    """A 2000-point sample spans many k-NN chunks, so an unpinned build splits
+    them among the usable cores; pinned to one CPU it runs on one thread."""
+    train = tmp_path / "train.csv"
+    assert run_cli(["gen-data", "--dataset", "swissroll", "--n", "2000", "--seed", "5",
+                    "--out", str(train)]) == 0
+    marginals = tmp_path / "marginals.csv"
+    marginals.write_text("variable,lo,hi,freq\nx2,0,10,1500\nx2,10,21,1500\n")
+    for argv in (["synthesize", "--method", "knn-rex", "--k", "30", "--m", "3", "--l", "20000"],
+                 ["synthesize-corrected", "--k", "15", "--m", "3", "--total", "3000",
+                  "--marginals", str(marginals)]):
+        outputs = []
+        for pinned in (False, True):
+            out = tmp_path / f"pop{pinned}.csv"
+            run = _cli(*(["-c", ONE_CPU] if pinned else ["-m", "knnrex.cli"]), *argv, "--seed", "9",
+                       "--in", str(train), "--out", str(out))
+            assert run.returncode == 0, run.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], argv
+
+
 def test_synthesize_over_two_write_blocks_writes_the_row_writer_bytes(tmp_path):
     """At l = 140000 the population spans three write blocks, so its second
     half is formatted by a forked child."""

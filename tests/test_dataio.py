@@ -172,6 +172,46 @@ def test_write_while_the_formatter_lags_writes_the_same_bytes(tmp_path, monkeypa
     _assert_no_child_left()
 
 
+# Writes, in a child process, the arrays and the stream that ``_large_writes``
+# gives into the directory named by its argument.
+LARGE_WRITES = """
+import sys
+from knnrex import PointSet
+from test_dataio import _large_writes
+from knnrex.dataio import write_points_csv
+for name, values in _large_writes():
+    write_points_csv(f"{sys.argv[1]}/{name}.csv", PointSet(values))
+"""
+
+
+def _large_writes():
+    """(name, values) of a 300,000 x 3 and a 300,000 x 20 array, whose write
+    blocks exceed the formatter's pipes, and of a stream of 8192 x 20 blocks
+    (1.3 MB each, over half a 1 MiB pipe). Values are eighths, so their text
+    is short."""
+    rng = np.random.default_rng(12)
+    for name, shape in (("narrow", (300_000, 3)), ("wide", (300_000, 20))):
+        yield name, rng.integers(-4000, 4000, size=shape) / 8
+    values = rng.integers(-4000, 4000, size=(6 * 8192 + 5, 20)) / 8
+    yield "stream", _stream(values, 8192)
+
+
+def test_write_of_blocks_larger_than_the_pipes_does_not_hang(tmp_path):
+    """The formatter blocks on writing a piece's text until this process reads
+    it, so this process must never block on sending it another: with two
+    whole blocks queued past the pipe's size both processes waited for good."""
+    paths = [os.path.dirname(os.path.dirname(dataio.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", LARGE_WRITES, str(tmp_path)], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    for name, values in _large_writes():
+        if isinstance(values, PointStream):
+            values = np.concatenate(list(values))
+        reference_write_points_csv(tmp_path / "ref.csv", PointSet(values))
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+
+
 def _stream(values, rows):
     """``values`` as a PointStream of ``rows``-row blocks."""
     blocks = (values[start : start + rows] for start in range(0, values.shape[0], rows))

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -210,6 +211,54 @@ def test_build_and_query_equal_the_sorted_reference(case):
     assert np.array_equal(index.ids, ref_ids) and np.array_equal(index.dists, ref_dists)
     ref_ids, ref_dists = sorted_chunk_reference(X, Q, kq, exclude_self=False)
     assert np.array_equal(ids, ref_ids) and np.array_equal(dists, ref_dists)
+
+
+@st.composite
+def _split_case(draw):
+    """A sample, either normal floats or a small integer grid (ties at the
+    k-th distance), a k in [1, n - 1], and a chunk budget of 2 to 11 rows,
+    so the sample spans several chunks and its last is mostly uneven."""
+    n = draw(st.integers(3, 60))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.normal(size=(n, d))
+    else:
+        X = rng.integers(0, draw(st.integers(1, 3)) + 1, size=(n, d)).astype(np.float64)
+    k = draw(st.integers(1, n - 1))
+    return X, k, draw(st.integers(2, 11)) * knnrex.knn._row_bytes(n, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_case())
+def test_build_is_the_same_on_any_number_of_workers(case):
+    X, k, budget = case
+    with mock.patch.object(knnrex.knn, "_CHUNK_BYTES", budget):
+        one = build_knn(X, k)
+        for workers in (2, 3, 7):
+            split = build_knn(X, k, workers=workers)
+            assert np.array_equal(split.ids, one.ids) and np.array_equal(split.dists, one.dists)
+
+
+def test_workers_share_the_chunks_only_past_one_chunk(monkeypatch):
+    """Worker 0 selects on the calling thread and the others on pool threads
+    (an idle pool thread may take a second worker); a sample within one
+    chunk stays on the calling thread."""
+    callers = set()
+    k_smallest = knnrex.knn._k_smallest
+
+    def recording(d2, k):
+        callers.add(threading.get_ident())
+        return k_smallest(d2, k)
+
+    monkeypatch.setattr(knnrex.knn, "_k_smallest", recording)
+    X = np.random.default_rng(9).normal(size=(50, 2))
+    monkeypatch.setattr(knnrex.knn, "_CHUNK_BYTES", 6 * knnrex.knn._row_bytes(50, 2))
+    build_knn(X, 5, workers=3)
+    assert len(callers) >= 2 and threading.get_ident() in callers
+    callers.clear()
+    build_knn(X[:6], 5, workers=3)
+    assert callers == {threading.get_ident()}
 
 
 def test_build_with_k_n_minus_1_ranks_every_other_point():
