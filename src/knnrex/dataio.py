@@ -22,7 +22,6 @@ import stat
 import subprocess
 import sys
 import warnings
-from collections import deque
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
@@ -38,22 +37,12 @@ from .estimators import MarginalSpec, PointStream, default_columns
 # build's 8 MiB chunk budget.
 WRITE_BLOCK_ROWS = 65_536
 
-# Pieces this process formats while the formatter holds all it may, at most,
-# before it waits for the formatter's text. The formatter holds two pieces,
-# each of at most half its input pipe's capacity with the 8-byte header, so
-# two queued pieces always fit in the pipe and a send never blocks while the
-# formatter blocks on writing its text; blocks are split by rows to that
-# size. Where the capacity cannot be read it holds one whole block.
+# Blocks this process formats while the formatter holds an earlier one, at
+# most, before it waits for the formatter's text.
 _LOOKAHEAD = 2
 
-# Bytes asked for each of the formatter's two pipes: the most an unprivileged
-# process may ask on Linux by default (/proc/sys/fs/pipe-max-size). Full, the
-# pipes hold up to 2 MiB of kernel memory while a write runs, which the
-# writer's resident set, and so the benchmark's peak_rss_mb, does not count.
-_PIPE_BYTES = 1 << 20
-
 # The formatter that ``write_points_csv`` runs with ``sys.executable -I -S``,
-# so it imports no numpy and no site packages. Per piece it reads an 8-byte
+# so it imports no numpy and no site packages. Per block it reads an 8-byte
 # little-endian row count and the rows as native float64 values, and answers
 # with an 8-byte byte count and the rows' UTF-8 text, each value as ``%r``.
 # It ends at the end of its input. It ignores SIGINT: on an interrupt the
@@ -193,8 +182,8 @@ def write_points_csv(path, points: PointSet) -> None:
     block by block in row order, so a stream's population is never held
     whole. Where there are more than ``WRITE_BLOCK_ROWS`` rows, the blocks
     are formatted on two cores: by this process and by one spawned
-    formatter process (``_FORMATTER``), each piece of a block by whichever
-    is free (see ``_Formatter.write``), and the text is written in row order. The
+    formatter process (``_FORMATTER``), each block by whichever is free
+    (see ``_Formatter.write``), and the text is written in row order. The
     bytes are those this process writes alone, as it does for fewer rows or
     where the formatter cannot start. A formatter that fails raises OSError
     naming ``path``; it is reaped on every path, and killed if this process
@@ -261,56 +250,38 @@ def _check_space(path, rows, d):
 
 
 class _Formatter:
-    """The pipes of a started ``_FORMATTER`` process, which holds at most
-    ``depth`` pieces at a time, each of at most ``rows`` rows: two pieces of
-    at most half its input pipe (see ``_LOOKAHEAD``), or one whole block. A
-    broken pipe or a short answer reaps the process and raises OSError
-    naming ``path``."""
+    """The pipes of a started ``_FORMATTER`` process, which holds at most one
+    block at a time. A broken pipe or a short answer reaps the process and
+    raises OSError naming ``path``."""
 
-    def __init__(self, path, process, depth, rows=sys.maxsize):
+    def __init__(self, path, process):
         self.path = path
         self.process = process
-        self.depth = depth
-        self.rows = rows
 
     def write(self, handle, line, blocks):
-        """Write the text of ``blocks`` to ``handle`` in row order, each piece
-        formatted by whichever process is free: a piece goes to the formatter
-        while it holds fewer than ``depth``; while it holds ``depth``, this
-        process formats the pieces that follow with ``line`` and keeps their
-        text, at most ``_LOOKAHEAD`` pieces of it, until the formatter's
-        text, which comes first, is written. So this process, which also
-        draws a stream's blocks, formats fewer of them when it is the busier
-        one. The formatter's answers are written as soon as they come."""
-        queue = deque()  # row order: a piece's text, or None for one the formatter holds
-        held = 0
-        for piece in self._pieces(blocks):
-            wait = held == self.depth and len(queue) - held == _LOOKAHEAD
-            while queue and (queue[0] is not None or wait or self._answered()):
-                text = queue.popleft()
-                if text is None:
-                    text = self.receive()
-                    held -= 1
-                    wait = False
-                handle.write(text)
-            if held < self.depth:
-                self.send(piece)
-                queue.append(None)
-                held += 1
-            else:
-                queue.append(_format_block(line, piece))
-        for text in queue:
-            handle.write(self.receive() if text is None else text)
-
-    def _pieces(self, blocks):
-        """The rows of ``blocks`` in order, in pieces of at most ``rows`` rows."""
+        """Write the text of ``blocks`` to ``handle`` in row order, each block
+        formatted by whichever process is free: a block goes to the formatter
+        when it holds none; while it holds one, this process formats the
+        blocks that follow with ``line`` and keeps their text, at most
+        ``_LOOKAHEAD`` blocks of it, until the formatter's text, which comes
+        first, is written. So this process, which also draws a stream's
+        blocks, formats fewer of them when it is the busier one."""
+        held = False
+        waiting = []
         for block in blocks:
-            for start in range(0, block.shape[0], self.rows):
-                yield block[start : start + self.rows]
-
-    def _answered(self) -> bool:
-        """Whether the formatter's next answer has begun to arrive."""
-        return bool(select.select([self.process.stdout], [], [], 0)[0])
+            if held and (len(waiting) == _LOOKAHEAD or select.select([self.process.stdout], [], [], 0)[0]):
+                handle.write(self.receive())
+                handle.writelines(waiting)
+                waiting.clear()
+                held = False
+            if held:
+                waiting.append(_format_block(line, block))
+            else:
+                self.send(block)
+                held = True
+        if held:
+            handle.write(self.receive())
+            handle.writelines(waiting)
 
     def send(self, block):
         block = np.ascontiguousarray(block, dtype=np.float64)
@@ -353,10 +324,7 @@ def _formatter(path, d, wanted):
         yield None
         return
     try:
-        # pieces of at most half the input pipe, 8-byte header included
-        capacity = _pipe_capacity(process)
-        rows = (capacity // 2 - 8) // (8 * d) if capacity else 0
-        yield _Formatter(path, process, 2, rows) if rows > 0 else _Formatter(path, process, 1)
+        yield _Formatter(path, process)
     except BaseException:
         process.kill()
         raise
@@ -367,23 +335,6 @@ def _formatter(path, d, wanted):
         status = process.wait()
     if status != 0:
         raise OSError(f"{path}: the formatting process exited with status {status}")
-
-
-def _pipe_capacity(process):
-    """Raise both pipes of ``process`` to ``_PIPE_BYTES`` where the system
-    allows; the capacity of its input pipe in bytes, or None where it
-    cannot be read (outside Linux)."""
-    import fcntl  # POSIX only, as the formatter is
-
-    if not hasattr(fcntl, "F_GETPIPE_SZ"):
-        return None
-    for pipe in (process.stdin, process.stdout):
-        with suppress(OSError):  # past the system's limit the pipe keeps its size
-            fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    try:
-        return fcntl.fcntl(process.stdin, fcntl.F_GETPIPE_SZ)
-    except OSError:
-        return None
 
 
 def read_marginals_csv(path, total: int) -> MarginalSpec:

@@ -225,7 +225,7 @@ def _synth_raw(cfg: EstimatorConfig, X: np.ndarray, l: int, rng: np.random.Gener
     cfg.validate()
     if cfg.reads_index:
         if index is None:
-            index = build_knn(X, cfg.k)
+            index = build_knn(X, cfg.k, workers=usable_cores())
         elif index.ids.shape != (X.shape[0], cfg.k):
             raise BadParams(f"prebuilt index has shape {index.ids.shape}, need {(X.shape[0], cfg.k)}")
     return _fill(_stream(l, X.shape[1], rng, _draw(cfg, X, index, rng)))

@@ -379,6 +379,8 @@ def icv_sweep(
     that seed reuse it (so their ``fold_seconds`` leave its time out).
     Small folds build no k-NN buffer large enough to raise glibc's heap
     thresholds, so this first raises them (``knn.raise_heap_thresholds``).
+    ``threads`` sets how many folds run at once; a fold whose training
+    sample spans more than one k-NN chunk builds on every usable core too.
     """
     raise_heap_thresholds()
     data = np.asarray(data, dtype=np.float64)

@@ -187,8 +187,8 @@ for name, values in _large_writes():
 def _large_writes():
     """(name, values) of a 300,000 x 3 and a 300,000 x 20 array, whose write
     blocks exceed the formatter's pipes, and of a stream of 8192 x 20 blocks
-    (1.3 MB each, over half a 1 MiB pipe). Values are eighths, so their text
-    is short."""
+    (1.3 MB each, more than a 1 MiB pipe holds). Values are eighths, so
+    their text is short."""
     rng = np.random.default_rng(12)
     for name, shape in (("narrow", (300_000, 3)), ("wide", (300_000, 20))):
         yield name, rng.integers(-4000, 4000, size=shape) / 8
@@ -197,9 +197,10 @@ def _large_writes():
 
 
 def test_write_of_blocks_larger_than_the_pipes_does_not_hang(tmp_path):
-    """The formatter blocks on writing a piece's text until this process reads
-    it, so this process must never block on sending it another: with two
-    whole blocks queued past the pipe's size both processes waited for good."""
+    """The formatter blocks on writing a block's text until this process reads
+    it, so this process must never block on sending it another first. The
+    formatter holds one block at a time; letting it queue two whole blocks
+    hung here, each process waiting on the other."""
     paths = [os.path.dirname(os.path.dirname(dataio.__file__)), os.path.dirname(__file__)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     run = subprocess.run([sys.executable, "-c", LARGE_WRITES, str(tmp_path)], capture_output=True,

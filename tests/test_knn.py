@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -259,6 +260,28 @@ def test_workers_share_the_chunks_only_past_one_chunk(monkeypatch):
     callers.clear()
     build_knn(X[:6], 5, workers=3)
     assert callers == {threading.get_ident()}
+
+
+def test_a_failing_worker_stops_the_others_before_their_next_chunk(monkeypatch):
+    """An error on the calling thread, as an interrupt would be, reaches the
+    caller once each pool worker ends the chunk it holds, not its share."""
+    main = threading.get_ident()
+    pool_chunks = []
+    k_smallest = knnrex.knn._k_smallest
+
+    def failing(d2, k):
+        if threading.get_ident() == main:
+            raise KeyboardInterrupt
+        pool_chunks.append(1)
+        time.sleep(0.05)
+        return k_smallest(d2, k)
+
+    monkeypatch.setattr(knnrex.knn, "_k_smallest", failing)
+    X = np.random.default_rng(9).normal(size=(50, 2))
+    monkeypatch.setattr(knnrex.knn, "_CHUNK_BYTES", 6 * knnrex.knn._row_bytes(50, 2))
+    with pytest.raises(KeyboardInterrupt):
+        build_knn(X, 5, workers=3)  # 25 chunks of 2 rows, 8 per pool worker
+    assert len(pool_chunks) <= 4, len(pool_chunks)
 
 
 def test_build_with_k_n_minus_1_ranks_every_other_point():
