@@ -23,7 +23,6 @@ from .dataio import PointSet, default_columns, read_marginals_csv, read_points_c
 from .errors import BadParams, BadSpec, KnnRexError, StallLimit, check_addressable
 from .estimators import EstimatorConfig, synth_bias_corrected, synthesis_stream
 from .evaluation import Phases, icv_run, icv_sweep, union_hellinger
-from .knn import raise_heap_thresholds
 
 METHOD_FLAGS = {
     "knn-rex": "knn_rex",
@@ -412,7 +411,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    raise_heap_thresholds()
     args = build_parser().parse_args(argv)
     phases = Phases()
     try:

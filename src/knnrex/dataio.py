@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSpec, CsvFormatError
+from .errors import BadSpec, CsvFormatError, DimensionMismatch
 from .estimators import MarginalSpec, PointStream, default_columns
 
 # Rows per block of an array being written; a stream is written in its own
@@ -189,14 +189,17 @@ def write_points_csv(path, points: PointSet) -> None:
     naming ``path``; it is reaped on every path, and killed if this process
     fails or is interrupted.
 
-    Before the output is opened, OSError(ENOSPC) naming ``path`` is raised
-    if the rows cannot fit in the free space of its file system at 4 bytes
-    a value, the fewest any value takes. A failed write removes ``path`` if
-    it is a regular file.
+    Before the output is opened, DimensionMismatch is raised for values
+    that are not n x d or for other than d column names, and OSError(ENOSPC)
+    naming ``path`` if the rows cannot fit in the free space of its file
+    system at 4 bytes a value, the fewest any value takes. A failed write
+    removes ``path`` if it is a regular file.
     """
     values = points.values
     if not isinstance(values, PointStream):
         values = np.asarray(values, dtype=np.float64)
+    if len(values.shape) != 2 or (points.columns and len(points.columns) != values.shape[1]):
+        raise DimensionMismatch(f"cannot write points of shape {values.shape} under the columns {points.columns}")
     n, d = values.shape
     _check_space(path, n, d)
     header = io.StringIO()

@@ -360,14 +360,16 @@ def synth_bmp(
 
 def suggest_params(d_intrinsic: int, n: int | None = None) -> tuple[int, int]:
     """Optimization-free (k, m) rule: m = d'+1 and k = 30, inside the
-    recommended range [10, 50]; given the training size n, k = min(30, n-1).
+    recommended range [10, 50], or d' where that is larger, so that
+    m <= k + 1; given the training size n, k is at most n - 1, and an n
+    below m raises BadParams.
     """
     if d_intrinsic < 1:
         raise BadParams(f"intrinsic dimension must be >= 1, got {d_intrinsic}")
-    k = 30  # midpoint of the recommended [10, 50] range; accuracy is insensitive to k
-    if n is not None:
-        k = min(k, n - 1)
-    return k, d_intrinsic + 1
+    if n is not None and n < d_intrinsic + 1:
+        raise BadParams(f"need n >= m = d'+1 = {d_intrinsic + 1} training points, got n = {n}")
+    k = max(30, d_intrinsic)  # 30: midpoint of the recommended [10, 50] range; accuracy is insensitive to k
+    return (k if n is None else min(k, n - 1)), d_intrinsic + 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .errors import (
     check_addressable,
 )
 from .estimators import EstimatorConfig, synthesize
-from .knn import raise_heap_thresholds
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,8 @@ def make_binning(data: np.ndarray, bins_per_dim: int) -> BinningSpec:
     """Equal-width edges per dimension spanning [min, max] of ``data``."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
-        raise EmptyData("cannot build a binning from empty data")
+        raise (DimensionMismatch(f"expected an n x d matrix, got shape {data.shape}") if data.size
+               else EmptyData("cannot build a binning from empty data"))
     if bins_per_dim < 1:
         raise BadParams(f"bins_per_dim must be >= 1, got {bins_per_dim}")
     check_addressable((bins_per_dim + 1,))
@@ -377,12 +377,9 @@ def icv_sweep(
     The fold split, and so the copying baseline, depends only on the seed:
     the first config with a seed scores its baseline, and later configs with
     that seed reuse it (so their ``fold_seconds`` leave its time out).
-    Small folds build no k-NN buffer large enough to raise glibc's heap
-    thresholds, so this first raises them (``knn.raise_heap_thresholds``).
     ``threads`` sets how many folds run at once; a fold whose training
     sample spans more than one k-NN chunk builds on every usable core too.
     """
-    raise_heap_thresholds()
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     if folds < 2:

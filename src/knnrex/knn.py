@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, KTooLarge
+from .errors import BadParams, DimensionMismatch, KTooLarge
 
 # Cap, in bytes, on the temporaries of one call of _nearest, whose workers
 # split its rows: each worker's chunk is its share. A query row
@@ -52,25 +52,27 @@ from .errors import BadParams, KTooLarge
 # the k boundary, a copy of its distances and their stable argsort; for a
 # query with k = n, the argsort and the gathered and rooted distances.
 #
-# Do not go below 8 MiB. glibc's malloc maps a block above its mmap
-# threshold afresh and, when such a block is freed, raises the threshold to
-# its size. The build's difference buffer, the largest block it frees, so
-# sets whether a later draw's ~2 MB per-block temporaries are reused from
-# the heap or mapped and faulted in again. With c09's index (n = 4348,
-# d = 4) that buffer is 4.2 MB at 8 MiB and 2.1 MB at 4 MiB. A 10k draw
-# after the build then took no minor faults at 8 and 16 MiB, but about 1000
-# at 2 and 4 MiB, and at 4 MiB it took 1.5 times as long as at 8 MiB (the
-# median of 10 interleaved rounds on a 2-core Xeon). With
-# MALLOC_MMAP_THRESHOLD_=33554432 MALLOC_TRIM_THRESHOLD_=67108864 set on the
-# process it took no faults at any budget. c09's 4x synthesis scaling read
-# x3.06-4.00 over 8 runs at 4 MiB, one of them below its floor of 3.2, and
-# x3.56-4.04 over 12 runs at 8 MiB. The workers share one buffer of the
-# budget's size, so the block a build frees, and with it the rule above, is
-# the same at any worker count. Inside the CLI and icv_sweep the thresholds
-# are set by raise_heap_thresholds before any work, not by this buffer; the
-# 8 MiB floor still holds for other library callers such as c09, which call
-# build_knn with its default of one worker.
+# Do not go below 8 MiB. c09's 4x synthesis scaling (floor x3.2) read
+# x3.06-4.00 over 8 runs at 4 MiB, one of them below its floor, and
+# x3.56-4.04 over 12 runs at 8 MiB. Those runs predate the heap thresholds
+# raised below, so some of that gap may have been the faults the raise
+# removes, but no run since has shown a smaller budget to be safe.
 _CHUNK_BYTES = 8 << 20
+
+# glibc's malloc maps a block above its mmap threshold (128 KiB at start)
+# afresh and unmaps it when freed; freeing such a block raises the threshold
+# to the block's size and the trim threshold to twice that (mallopt(3)).
+# Without this one 4 MiB block, freed as soon as it is made, a draw's
+# per-block temporaries (about 2 MB at k = 30 for 8192 rows) and an icv
+# fold's k-NN and scoring arrays were mapped and faulted in again on every
+# block unless a large build had freed its difference buffer first: 700-960
+# minor faults per library synthesize of 10k points from a 200-point sample,
+# and about 500 per fold of a 100-fold icv. Done on import, it
+# covers the CLI and every library caller alike. Above k = 64 a block's
+# (8192, k) float64 score array exceeds 4 MiB and is still mapped per
+# block. No arithmetic changes, so no output byte does; under another
+# allocator this is one harmless allocation.
+np.empty(4 << 20, dtype=np.uint8)
 
 
 def usable_cores() -> int:
@@ -80,27 +82,6 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux and a few others
         return os.cpu_count() or 1
-
-
-def raise_heap_thresholds() -> None:
-    """Allocate and free one 4 MiB block, so that glibc's malloc keeps every
-    later block up to that size on its heap.
-
-    glibc maps a block above its mmap threshold (128 KiB at start) afresh
-    and unmaps it when freed; freeing such a block raises the threshold to
-    the block's size and the trim threshold to twice that (mallopt(3)). A
-    draw's per-block temporaries (about 2 MB at k = 30 for 8192 rows) and an
-    icv fold's k-NN and scoring arrays were otherwise mapped and faulted in
-    again on every block, about 500 minor faults per fold of a 100-fold icv,
-    unless a large k-NN build had freed its difference buffer first. 4 MiB
-    is about what such a build frees (see _CHUNK_BYTES), so callers that run
-    one start in the heap state they reach anyway. ``cli.main`` and
-    ``evaluation.icv_sweep`` call this first. Above k = 64 a block's
-    (8192, k) float64 score array exceeds 4 MiB and is still mapped per
-    block. No arithmetic changes, so no output byte does; under another
-    allocator this is one harmless allocation.
-    """
-    np.empty(4 << 20, dtype=np.uint8)
 
 
 def _row_bytes(n: int, d: int) -> int:
@@ -172,14 +153,11 @@ def _nearest(X: np.ndarray, Q: np.ndarray, k: int, exclude_self: bool, workers: 
             stopped.set()
             raise
 
-    if workers == 1:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        others = [pool.submit(work, worker) for worker in range(1, workers)]
         work(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-            others = [pool.submit(work, worker) for worker in range(1, workers)]
-            work(0)
-            for other in others:
-                other.result()
+        for other in others:
+            other.result()
     return ids, dists
 
 
@@ -187,6 +165,8 @@ def build_knn(X: np.ndarray, k: int, workers: int = 1) -> KnnIndex:
     """Compute the exact k nearest neighbors of every row of X (self excluded),
     on up to ``workers`` threads; the result is the same at any count."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"expected an n x d matrix, got shape {X.shape}")
     n = X.shape[0]
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
@@ -207,6 +187,8 @@ def query_neighbors(X: np.ndarray, q: np.ndarray, k: int):
     """
     X = np.asarray(X, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
+    if X.ndim != 2 or q.ndim not in (1, 2) or q.shape[-1] != X.shape[1]:
+        raise DimensionMismatch(f"cannot query points of shape {q.shape} in a sample of shape {X.shape}")
     n = X.shape[0]
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")

@@ -408,8 +408,8 @@ def test_small_sample_draws_reuse_their_heap_blocks(tmp_path):
     """A 200-point sample builds no k-NN buffer large enough to raise glibc's
     mmap threshold, so each 8192-row block's ~2 MB of draw temporaries were
     mapped and faulted in afresh: 2,800-3,900 minor faults per command on
-    x86-64 Linux with glibc 2.36. With the threshold raised once at the start
-    of ``main`` the repeated command took 0-22."""
+    x86-64 Linux with glibc 2.36. With the threshold raised once, when
+    ``knnrex.knn`` is imported, the repeated command took 0-22."""
     train = tmp_path / "train.csv"
     assert run_cli(["gen-data", "--dataset", "ring", "--n", "200", "--seed", "2",
                     "--out", str(train)]) == 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knnrex import BadSpec, CsvFormatError, InconsistentMarginals, PointSet, PointStream
+from knnrex import BadSpec, CsvFormatError, DimensionMismatch, InconsistentMarginals, PointSet, PointStream
 from knnrex import dataio
 from knnrex.dataio import (
     WRITE_BLOCK_ROWS,
@@ -267,6 +267,19 @@ def test_write_refuses_rows_the_disk_cannot_hold(tmp_path, monkeypatch):
     path.write_bytes(b"x")  # its byte is freed when the file is truncated
     write_points_csv(path, PointSet(values))
     assert path.read_text() == "x1,x2,x3\n" + "0.0,0.0,0.0\n" * 10
+
+
+def test_write_of_malformed_points_raises_and_leaves_no_file(tmp_path):
+    """A header that does not match the rows would make a file this module's
+    reader refuses, so nothing is opened."""
+    path = tmp_path / "out.csv"
+    with pytest.raises(DimensionMismatch, match=r"^cannot write points of shape \(4, 3\) under the columns \['a'\]$"):
+        write_points_csv(path, PointSet(np.zeros((4, 3)), ["a"]))
+    with pytest.raises(DimensionMismatch, match=r"shape \(5, 3\) under the columns \['a', 'b', 'c', 'd'\]$"):
+        write_points_csv(path, PointSet(_stream(np.zeros((5, 3)), 2), ["a", "b", "c", "d"]))
+    with pytest.raises(DimensionMismatch, match=r"^cannot write points of shape \(3,\) under the columns None$"):
+        write_points_csv(path, PointSet(np.zeros(3)))
+    assert not path.exists()
 
 
 def test_write_to_a_device_is_not_checked_for_space(monkeypatch):

@@ -216,6 +216,20 @@ def test_suggest_params():
         suggest_params(0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 29, 30, 31, 40, 60])
+def test_suggested_params_always_validate(d):
+    """Every pair the rule returns is one knn_rex accepts (m <= k + 1), and
+    a training size below m = d' + 1 is refused rather than answered."""
+    for n in [None, *range(d + 1, d + 4), 31, 32, 50, 200]:
+        if n is None or n >= d + 1:
+            k, m = suggest_params(d, n)
+            assert m == d + 1 and (n is None or k <= n - 1)
+            EstimatorConfig(method="knn_rex", k=k, m=m).validate()
+    for n in range(0, d + 1):
+        with pytest.raises(BadParams, match=f"m = d'\\+1 = {d + 1} .* n = {n}$"):
+            suggest_params(d, n)
+
+
 def test_estimator_config_validation():
     EstimatorConfig(method="knn_rex", k=12, m=3).validate()
     with pytest.raises(BadParams):

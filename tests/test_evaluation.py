@@ -190,6 +190,11 @@ def test_assign_searches_only_the_rows_arithmetic_cannot_place(monkeypatch):
 def test_make_binning_errors():
     with pytest.raises(EmptyData):
         make_binning(np.empty((0, 2)), 3)
+    with pytest.raises(EmptyData):
+        make_binning(np.empty(0), 3)
+    for shape in [(5,), (2, 3, 2), ()]:
+        with pytest.raises(DimensionMismatch, match=re.escape(f"expected an n x d matrix, got shape {shape}")):
+            make_binning(np.zeros(shape), 3)
     with pytest.raises(BadParams):
         make_binning(np.zeros((3, 2)), 0)
     # a range past float64 would give nan and inf edges, not a binning
@@ -536,13 +541,42 @@ def test_library_icv_folds_reuse_their_heap_blocks():
     enough to raise glibc's mmap threshold, so each fold's draw and scoring
     arrays were mapped and faulted in afresh: about 21,000 minor faults for
     the second of two 50-fold runs on x86-64 Linux with glibc 2.36. With the
-    threshold raised at the start of ``icv_sweep`` it took 0-1."""
+    threshold raised when ``knnrex.knn`` is imported it took 0-1."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(knnrex.evaluation.__file__)))
     run = subprocess.run([sys.executable, "-c", SECOND_ICV_FAULTS], capture_output=True, text=True,
                          env=env, timeout=600)
     assert run.returncode == 0, run.stderr
     faults = int(run.stdout.split()[-1])
     assert faults < 1000, faults
+
+
+SECOND_DRAW_FAULTS = """
+import resource
+import numpy as np
+import knnrex
+train = knnrex.gen_ring(200, np.random.default_rng(2))
+cfg = knnrex.EstimatorConfig(method="knn_rex", k=30, m=3)
+knnrex.synthesize(cfg, train, 10_000, np.random.default_rng(4))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+knnrex.synthesize(cfg, train, 10_000, np.random.default_rng(4))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's heap behaviour")
+def test_library_draws_reuse_their_heap_blocks():
+    """A 200-point sample builds no k-NN buffer large enough to raise glibc's
+    mmap threshold, so a library ``synthesize``'s per-block draw temporaries
+    were mapped and faulted in afresh: about 700 minor faults for the second
+    of two 10k draws on x86-64 Linux with glibc 2.36, where the CLI's
+    threshold raise did not reach. With the threshold raised when
+    ``knnrex.knn`` is imported it took 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(knnrex.evaluation.__file__)))
+    run = subprocess.run([sys.executable, "-c", SECOND_DRAW_FAULTS], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert run.returncode == 0, run.stderr
+    faults = int(run.stdout.split()[-1])
+    assert faults < 300, faults
 
 
 def test_icv_errors():

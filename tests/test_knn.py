@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnrex.knn
-from knnrex import BadParams, KTooLarge, build_knn, query_neighbors
+from knnrex import BadParams, DimensionMismatch, KTooLarge, build_knn, query_neighbors
 
 FOUR_POINTS = np.array([[0.0], [1.0], [3.0], [7.0]])
 
@@ -81,6 +81,19 @@ def test_errors():
         build_knn(FOUR_POINTS, 0)
     with pytest.raises(KTooLarge):
         query_neighbors(FOUR_POINTS, np.array([0.0]), 5)
+
+
+def test_malformed_arrays_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match=r"^expected an n x d matrix, got shape \(4,\)$"):
+        build_knn(FOUR_POINTS[:, 0], 2)
+    with pytest.raises(DimensionMismatch, match=r"^cannot query points of shape \(2,\) in a sample of shape \(4, 1\)$"):
+        query_neighbors(FOUR_POINTS, np.zeros(2), 2)
+    with pytest.raises(DimensionMismatch, match=r"shape \(3, 2\) in a sample of shape \(4, 1\)$"):
+        query_neighbors(FOUR_POINTS, np.zeros((3, 2)), 2)
+    with pytest.raises(DimensionMismatch, match=r"shape \(\) in a sample"):
+        query_neighbors(FOUR_POINTS, 0.0, 2)
+    with pytest.raises(DimensionMismatch, match=r"shape \(1,\) in a sample of shape \(4,\)$"):
+        query_neighbors(FOUR_POINTS[:, 0], np.zeros(1), 2)
 
 
 def test_agreement_with_oracle_on_random_instances():
