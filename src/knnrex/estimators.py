@@ -30,10 +30,11 @@ index. ``_whitened`` whitens the sample and builds that index, as the
 ``synthesis_stream`` and ``synth_bias_corrected``. ``_draw`` maps a config
 to its draw, for ``synthesis_stream`` and for ``synth_knn_rex``,
 ``synth_fixed_gaussian`` and ``synth_bmp``, which draw on the sample as
-given. ``_rex_seeded`` takes the REX draws seeded at sample points, for the
-k-NN REX draw and for the bias-corrected proposals seeded in a bin's
-sample points. A stream times each block it draws as "synthesis", inside
-whatever phase its consumer runs. Every method shares one chunk loop:
+given. ``_rex_seeded`` takes the REX draws from KCSs of a first point and
+m-1 of its neighbors, for the k-NN REX draw and for the bias-corrected
+proposals, seeded in a bin's sample points or at uniform points. A stream
+times each block it draws as "synthesis", inside whatever phase its
+consumer runs. Every method shares one chunk loop:
 chunk i of ``DEFAULT_CHUNK`` points draws only from the i-th child stream
 spawned from the caller's generator, so a seed pins the output exactly,
 whether it is drawn as a stream or as an array.
@@ -51,10 +52,11 @@ from .errors import (
     BadSpec,
     EmptySample,
     InconsistentMarginals,
-    NonFiniteSample,
     SingularSigma,
     StallLimit,
+    as_points,
     check_addressable,
+    check_size,
 )
 from .kernels import kcs_stats, rex_batch, rex_log_density
 from .knn import build_knn, query_neighbors, usable_cores
@@ -81,12 +83,9 @@ CORRECTED_COUNTERS = (
 
 
 def _sample(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = as_points(X, "training sample")
     if X.shape[0] == 0:
         raise EmptySample("training sample is empty")
-    if not np.isfinite(X).all():
-        row = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise NonFiniteSample(f"training sample row {row} is not finite: {X[row].tolist()!r}")
     return X
 
 
@@ -174,6 +173,7 @@ def synthesis_stream(
     "synthesis" phases; the draw of each block is "synthesis" too.
     """
     cfg.validate()
+    check_size(l, "l")
     X = _sample(X)
     transform, X_w, index = _whitened(cfg, X, measure)
     with measure("synthesis"):
@@ -223,6 +223,7 @@ def _synth_raw(cfg: EstimatorConfig, X: np.ndarray, l: int, rng: np.random.Gener
     BadParams); None builds one."""
     X = _sample(X)
     cfg.validate()
+    check_size(l, "l")
     if cfg.reads_index:
         if index is None:
             index = build_knn(X, cfg.k, workers=usable_cores())
@@ -285,16 +286,20 @@ def _rex_draw(X, m, index):
 
     def draw(size, crng):
         seeds = crng.integers(0, n, size=size)
-        return X[seeds] if m == 1 else _rex_seeded(X, seeds, m, index, crng)
+        return X[seeds] if m == 1 else _rex_seeded(X, X[seeds], index.ids, m, crng, rows=seeds)
 
     return draw
 
 
-def _rex_seeded(X, seeds, m, index, rng):
-    """One REX draw per id in ``seeds``: from the KCS of that point of X and
-    m-1 of its neighbors in ``index``, as an (s, d) array."""
-    picks = _pick_neighbors(index.ids, m, rng, rows=seeds)
-    return rex_batch(X[np.column_stack((seeds, picks))], rng)
+def _rex_seeded(X, first, neighbors, m, rng, rows=None):
+    """One REX draw per point of ``first``, as an (s, d) array: from the KCS
+    of that point and m-1 of the points of X that its row of ``neighbors``
+    lists (the ``rows`` of an (n, k) neighbor-id array, as in
+    ``_pick_neighbors``)."""
+    kcs = np.empty((first.shape[0], m, X.shape[1]))
+    kcs[:, 0] = first
+    kcs[:, 1:] = X[_pick_neighbors(neighbors, m, rng, rows)]
+    return rex_batch(kcs, rng)
 
 
 def _pick_neighbors(neighbors: np.ndarray, m: int, rng: np.random.Generator, rows=None) -> np.ndarray:
@@ -561,7 +566,7 @@ def synth_bias_corrected(
             pool = pools[f]
             if pool.size > 0:
                 seeds = pool[rng.integers(pool.size, size=size)]
-                Y = (whiten_invert(transform, _rex_seeded(Xw, seeds, m, index, rng))
+                Y = (whiten_invert(transform, _rex_seeded(Xw, Xw[seeds], index.ids, m, rng, rows=seeds))
                      if needs_kernel else X[seeds])
             else:
                 tally["uniform_seeds"] += size
@@ -570,10 +575,7 @@ def synth_bias_corrected(
                 if needs_kernel:
                     seeds_w = whiten_apply(transform, Y)
                     neighbors, _ = query_neighbors(Xw, seeds_w, k)
-                    kcs = np.empty((size, m, d))
-                    kcs[:, 0] = seeds_w
-                    kcs[:, 1:] = Xw[_pick_neighbors(neighbors, m, rng)]
-                    Y = whiten_invert(transform, rex_batch(kcs, rng))
+                    Y = whiten_invert(transform, _rex_seeded(Xw, seeds_w, neighbors, m, rng))
             if round_integers:
                 Y = _round_half_away(Y)
             bins = np.column_stack([marginals.bin_of(v, Y[:, col]) for v, col in enumerate(var_cols)])
@@ -681,7 +683,7 @@ class KmModel:
 
 def km_loglik(X: np.ndarray, kcss: np.ndarray) -> float:
     """Training log-likelihood of the mixture, recomputed from scratch."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _sample(X)
     return _mixture_loglik(np.stack([_kcs_column(X, X[ids]) for ids in kcss], axis=1))
 
 
@@ -767,7 +769,8 @@ def km_synth(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw l points: choose one of the L sets uniformly, then one REX draw."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _sample(X)
+    check_size(l, "l")
     return _fill(_stream(l, X.shape[1], rng, _km_draw(model, X)))
 
 

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import (
     BadParams,
     DegenerateVariance,
-    DimensionMismatch,
     EmptyData,
     TooFewPoints,
+    as_points,
     check_addressable,
 )
 from .estimators import EstimatorConfig, synthesize
@@ -46,21 +46,15 @@ class BinningSpec:
     def bins_per_dim(self) -> tuple:
         return tuple(max(e.size - 1, 1) for e in self.edges)
 
-    def checked(self, X: np.ndarray) -> np.ndarray:
-        """``X`` as a float64 array of points of this binning's dimension."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise BadParams(f"expected points of dimension {self.dim}, got shape {X.shape}")
-        return X
-
     def assign(self, X: np.ndarray) -> np.ndarray:
         """Per-dimension bin indices, shape (n, d), clamped into range.
 
         A column's bins are ``searchsorted(edges, x, side="right") - 1``
         clamped into [0, nb - 1], found by arithmetic where the edges allow
-        it (see ``_column_bins``).
+        it (see ``_column_bins``). NaN and infinite values are binned too:
+        they take the boundary bins as ``searchsorted`` places them.
         """
-        X = self.checked(X)
+        X = as_points(X, "points", self.dim, finite=False)
         out = np.empty(X.shape, dtype=np.int64)
         for j, edges in enumerate(self.edges):
             out[:, j] = _column_bins(edges, X[:, j])
@@ -114,10 +108,9 @@ def _column_bins(edges, x):
 
 def make_binning(data: np.ndarray, bins_per_dim: int) -> BinningSpec:
     """Equal-width edges per dimension spanning [min, max] of ``data``."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise (DimensionMismatch(f"expected an n x d matrix, got shape {data.shape}") if data.size
-               else EmptyData("cannot build a binning from empty data"))
+    if np.size(data) == 0:
+        raise EmptyData("cannot build a binning from empty data")
+    data = as_points(data, "binning data")
     if bins_per_dim < 1:
         raise BadParams(f"bins_per_dim must be >= 1, got {bins_per_dim}")
     check_addressable((bins_per_dim + 1,))
@@ -152,11 +145,11 @@ def hellinger(Y: np.ndarray, Z: np.ndarray, binning: BinningSpec) -> float:
     All three order the occupied bins lexicographically by tuple, so all
     give the same counts in the same summation order, bit for bit.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
+    Y = as_points(Y, "Y", binning.dim)
+    Z = as_points(Z, "Z", binning.dim)
     if Y.shape[0] == 0 or Z.shape[0] == 0:
         raise EmptyData("hellinger requires two non-empty point sets")
-    both = binning.assign(np.concatenate([binning.checked(Y), binning.checked(Z)]))
+    both = binning.assign(np.concatenate([Y, Z]))
     bins = binning.bins_per_dim()
     span = math.prod(bins)
     n_y = Y.shape[0]
@@ -187,10 +180,8 @@ def _strides(bins):
 
 def union_hellinger(Y: np.ndarray, Z: np.ndarray, bins_per_dim: int) -> float:
     """``hellinger`` of Y and Z on a binning built on their union."""
-    Y = np.asarray(Y, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
-    if Y.shape[1:] != Z.shape[1:]:
-        raise DimensionMismatch(f"cannot compare points of shapes {Y.shape} and {Z.shape}")
+    Y = as_points(Y, "Y")
+    Z = as_points(Z, "Z", Y.shape[1])
     return hellinger(Y, Z, make_binning(np.concatenate([Y, Z]), bins_per_dim))
 
 
@@ -208,8 +199,9 @@ def welch_t(mean_a, sd_a, n_a, mean_b, sd_b, n_b):
     """
     if n_a < 2 or n_b < 2:
         raise BadParams(f"need sample sizes >= 2, got {n_a}, {n_b}")
-    if sd_a < 0 or sd_b < 0:
-        raise BadParams("standard deviations must be >= 0")
+    if not all(map(math.isfinite, (mean_a, sd_a, mean_b, sd_b))) or sd_a < 0 or sd_b < 0:
+        raise BadParams(f"need finite means and finite standard deviations >= 0, got "
+                        f"{mean_a}, {sd_a} and {mean_b}, {sd_b}")
     if sd_a == 0.0 and sd_b == 0.0:
         raise DegenerateVariance("both groups have zero variance")
     va = sd_a * sd_a / n_a
@@ -380,7 +372,7 @@ def icv_sweep(
     ``threads`` sets how many folds run at once; a fold whose training
     sample spans more than one k-NN chunk builds on every usable core too.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = as_points(data, "data")
     n = data.shape[0]
     if folds < 2:
         raise BadParams(f"need folds >= 2, got {folds}")

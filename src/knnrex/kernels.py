@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyKcs, SingularSigma
+from .errors import EmptyKcs, SingularSigma, as_points, check_size
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -63,6 +63,7 @@ def rex_sample(kcs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def rex_samples(kcs: np.ndarray, n_points: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n_points i.i.d. REX points from one KCS (vectorized)."""
     kcs = _as_kcs(kcs)
+    check_size(n_points, "n_points")
     m = kcs.shape[0]
     eps = rng.standard_normal((n_points, m)) * math.sqrt(1.0 / m)
     mu = np.add.reduce(kcs, axis=0) / m  # kcs.mean(axis=0) without its wrapper
@@ -97,9 +98,10 @@ def rex_log_density(y: np.ndarray, kcs: np.ndarray, ridge: float = 0.0) -> np.nd
     definite (e.g. m <= d with ridge 0).
     """
     kcs = _as_kcs(kcs)
-    y = np.asarray(y, dtype=np.float64)
-    stats = kcs_stats(kcs)
     d = kcs.shape[1]
+    single = np.shape(y) == (d,)
+    y = as_points(np.atleast_2d(y) if single else y, "y", d)
+    stats = kcs_stats(kcs)
     sigma = stats.sigma
     if ridge:
         sigma = sigma + ridge * np.eye(d)
@@ -110,8 +112,7 @@ def rex_log_density(y: np.ndarray, kcs: np.ndarray, ridge: float = 0.0) -> np.nd
             f"KCS covariance is singular for m = {kcs.shape[0]}, d = {d} "
             f"(ridge = {ridge:g})"
         ) from None
-    single = y.ndim == 1
-    dev = np.atleast_2d(y) - stats.mu
+    dev = y - stats.mu
     z = np.linalg.solve(chol, dev.T)
     maha = np.einsum("ij,ij->j", z, z)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
@@ -124,9 +125,7 @@ def rex_density(y: np.ndarray, kcs: np.ndarray, ridge: float = 0.0) -> np.ndarra
 
 
 def _as_kcs(kcs: np.ndarray) -> np.ndarray:
-    kcs = np.asarray(kcs, dtype=np.float64)
-    if kcs.ndim == 1:
-        kcs = kcs[np.newaxis, :]
+    kcs = as_points(kcs, "kernel construction set")
     if kcs.shape[0] == 0:
         raise EmptyKcs("kernel construction set must contain at least one point")
     return kcs

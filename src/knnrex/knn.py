@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, KTooLarge
+from .errors import BadParams, EmptySample, KTooLarge, as_points
 
 # Cap, in bytes, on the temporaries of one call of _nearest, whose workers
 # split its rows: each worker's chunk is its share. A query row
@@ -164,10 +164,10 @@ def _nearest(X: np.ndarray, Q: np.ndarray, k: int, exclude_self: bool, workers: 
 def build_knn(X: np.ndarray, k: int, workers: int = 1) -> KnnIndex:
     """Compute the exact k nearest neighbors of every row of X (self excluded),
     on up to ``workers`` threads; the result is the same at any count."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected an n x d matrix, got shape {X.shape}")
+    X = as_points(X, "sample")
     n = X.shape[0]
+    if n == 0:
+        raise EmptySample("sample is empty")
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
     if k > n - 1:
@@ -185,14 +185,13 @@ def query_neighbors(X: np.ndarray, q: np.ndarray, k: int):
     The points of q are assumed not to be members of X, so there is no
     self-exclusion.
     """
-    X = np.asarray(X, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if X.ndim != 2 or q.ndim not in (1, 2) or q.shape[-1] != X.shape[1]:
-        raise DimensionMismatch(f"cannot query points of shape {q.shape} in a sample of shape {X.shape}")
+    X = as_points(X, "sample")
+    single = np.shape(q) == X.shape[1:]
+    Q = as_points(np.atleast_2d(q) if single else q, "query", X.shape[1])
     n = X.shape[0]
     if k < 1:
         raise BadParams(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k = {k} but only {n} points exist")
-    ids, dists = _nearest(X, np.atleast_2d(q), k, exclude_self=False)
-    return (ids[0], dists[0]) if q.ndim == 1 else (ids, dists)
+    ids, dists = _nearest(X, Q, k, exclude_self=False)
+    return (ids[0], dists[0]) if single else (ids, dists)

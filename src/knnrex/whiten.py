@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularCovariance, TooFewPoints
+from .errors import SingularCovariance, TooFewPoints, as_points
 
 # Smallest acceptable eigenvalue of the sample covariance, relative to the
 # largest one. Below this the data is treated as degenerate.
@@ -36,9 +36,7 @@ def whiten_fit(X: np.ndarray) -> WhitenTransform:
     the largest-magnitude entry of each eigenvector positive, so the fit is
     deterministic.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected an n x d matrix, got shape {X.shape}")
+    X = as_points(X, "sample")
     n, d = X.shape
     if n < d + 1:
         raise TooFewPoints(f"need at least d+1 = {d + 1} points, got {n}")
@@ -48,10 +46,7 @@ def whiten_fit(X: np.ndarray) -> WhitenTransform:
         centered = X - mean
         cov = centered.T @ centered / n
     if not np.isfinite(cov).all():
-        raise SingularCovariance(
-            "sample covariance overflows float64 (or the sample is not finite); "
-            "rescale the data"
-        )
+        raise SingularCovariance("sample covariance overflows float64; rescale the data")
 
     w, q = np.linalg.eigh(cov)
     if w[-1] <= 0.0 or w[0] <= _EIG_RTOL * w[-1]:
@@ -71,20 +66,11 @@ def whiten_fit(X: np.ndarray) -> WhitenTransform:
 
 def whiten_apply(transform: WhitenTransform, X: np.ndarray) -> np.ndarray:
     """Map points into whitened coordinates."""
-    X = np.asarray(X, dtype=np.float64)
-    _check_dim(transform, X)
+    X = as_points(X, "points", transform.dim)
     return (X - transform.mean) @ transform.forward.T
 
 
 def whiten_invert(transform: WhitenTransform, Y: np.ndarray) -> np.ndarray:
     """Map whitened points back to original units."""
-    Y = np.asarray(Y, dtype=np.float64)
-    _check_dim(transform, Y)
+    Y = as_points(Y, "points", transform.dim)
     return Y @ transform.inverse.T + transform.mean
-
-
-def _check_dim(transform: WhitenTransform, X: np.ndarray) -> None:
-    if X.ndim != 2 or X.shape[1] != transform.dim:
-        raise DimensionMismatch(
-            f"expected points of dimension {transform.dim}, got shape {X.shape}"
-        )

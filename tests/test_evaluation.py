@@ -364,7 +364,7 @@ def test_hellinger_names_the_set_of_the_wrong_dimension(shapes):
     Y, Z = np.zeros(shapes[0]), np.zeros(shapes[1])
     bad = Y if Y.shape[1:] != (2,) else Z
     message = f"expected points of dimension 2, got shape {bad.shape}"
-    with pytest.raises(BadParams, match=re.escape(message)):
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
         hellinger(Y, Z, spec)
 
 
@@ -431,6 +431,20 @@ def test_welch_degenerate():
         welch_t(1.0, 0.0, 10, 2.0, 0.0, 10)
     with pytest.raises(BadParams):
         welch_t(1.0, 1.0, 1, 2.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, 1.0, 5, 0.0, 1.0, 5),
+    (0.0, 1.0, 5, -math.inf, 1.0, 5),
+    (0.0, math.inf, 5, 0.0, 1.0, 5),
+    (0.0, 1.0, 5, 0.0, math.nan, 5),
+    (0.0, -1.0, 5, 0.0, 1.0, 5),
+])
+def test_welch_refuses_non_finite_means_and_deviations(args):
+    ma, sa, _, mb, sb, _ = args
+    message = f"need finite means and finite standard deviations >= 0, got {ma}, {sa} and {mb}, {sb}"
+    with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+        welch_t(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,13 @@ def test_errors():
 def test_malformed_arrays_raise_dimension_mismatch():
     with pytest.raises(DimensionMismatch, match=r"^expected an n x d matrix, got shape \(4,\)$"):
         build_knn(FOUR_POINTS[:, 0], 2)
-    with pytest.raises(DimensionMismatch, match=r"^cannot query points of shape \(2,\) in a sample of shape \(4, 1\)$"):
+    with pytest.raises(DimensionMismatch, match=r"^expected points of dimension 1, got shape \(2,\)$"):
         query_neighbors(FOUR_POINTS, np.zeros(2), 2)
-    with pytest.raises(DimensionMismatch, match=r"shape \(3, 2\) in a sample of shape \(4, 1\)$"):
+    with pytest.raises(DimensionMismatch, match=r"^expected points of dimension 1, got shape \(3, 2\)$"):
         query_neighbors(FOUR_POINTS, np.zeros((3, 2)), 2)
-    with pytest.raises(DimensionMismatch, match=r"shape \(\) in a sample"):
+    with pytest.raises(DimensionMismatch, match=r"^expected points of dimension 1, got shape \(\)$"):
         query_neighbors(FOUR_POINTS, 0.0, 2)
-    with pytest.raises(DimensionMismatch, match=r"shape \(1,\) in a sample of shape \(4,\)$"):
+    with pytest.raises(DimensionMismatch, match=r"^expected an n x d matrix, got shape \(4,\)$"):
         query_neighbors(FOUR_POINTS[:, 0], np.zeros(1), 2)
 
 
